@@ -4,8 +4,9 @@
 For small eps the eps-pseudospectrum consists of separate islands around the
 EP2 and the isolated state; at the critical level the isolines touch in a
 saddle and for larger eps a single component prevails, mimicking an EP3.
-The merge level c* = log10(eps*) is located by bisection with connected-
-component counting.
+The merge level c* = log10(eps*) is the saddle of sigma_min(E - H0) between
+the poles: one union-find pass over the grid finds the pixel where the two
+components join, and Newton on the gradient of sigma_min refines it.
 
 Writes demo_output/pseudospectrum.csv (re, im, log10 ||G||_2).
 """

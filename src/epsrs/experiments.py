@@ -96,7 +96,7 @@ def fig4_grid(detuning: float = 2e-3, frame=None, resolution: int = 401,
 
     Returns the grid (log10 of the resolvent spectral norm) and the level at
     which the superlevel-set components around the EP2 and the isolated
-    state merge.
+    state merge, located on that same grid.
     """
     params = toy_params(detuning)
     h0 = toy_h0(params)
@@ -105,8 +105,7 @@ def fig4_grid(detuning: float = 2e-3, frame=None, resolution: int = 401,
         margin = 0.75 * span
         frame = ((-margin, span + margin), (-margin - span / 2, margin + span / 2))
     grid = pseudospectrum(h0, frame[0], frame[1], resolution)
-    c_star = separatrix_level(h0, params.e_a, params.e_b, c_window,
-                              frame=frame, resolution=resolution)
+    c_star = separatrix_level(h0, params.e_a, params.e_b, c_window, grid=grid)
     return grid, c_star
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,8 +69,19 @@ def as_vector(v) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_ij|^2) = sqrt(trace(a^dagger a))."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
+    """Frobenius norm sqrt(sum |a_ij|^2) = sqrt(trace(a^dagger a)).
+
+    A result outside 1e-140..1e140 is recomputed from the entries scaled by a
+    power of two near max |a_ij|, so the squares of tiny (or huge) entries
+    neither underflow to 0 nor overflow; power-of-two scaling is exact.
+    """
+    m = as_matrix(a)
+    fro = float(np.linalg.norm(m, "fro"))
+    if 1e-140 < fro < 1e140:
+        return fro
+    exp = math.frexp(float(np.max(np.abs(m))))[1]
+    scaled = np.ldexp(m.real, -exp) + 1j * np.ldexp(m.imag, -exp)
+    return float(np.ldexp(np.linalg.norm(scaled, "fro"), exp))
 
 
 def spectral_norm(a) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import AtEpError, SeparationError
 from .linalg import EigenPair, as_matrix, eig, spectral_norm
+from .tables import write_text
 
 
 def petermann_factor(pair: EigenPair) -> float:
@@ -81,19 +82,12 @@ def petermann_records(h0) -> list[PetermannRecord]:
 
 def records_to_csv(records, file) -> None:
     """CSV with header ``eigen_re,eigen_im,K,proj_norm``."""
-
-    def write(fh):
-        fh.write("eigen_re,eigen_im,K,proj_norm\n")
-        for r in records:
-            v = complex(r.eigen.value)
-            fh.write(f"{v.real:.17g},{v.imag:.17g},"
+    lines = ["eigen_re,eigen_im,K,proj_norm\n"]
+    for r in records:
+        v = complex(r.eigen.value)
+        lines.append(f"{v.real:.17g},{v.imag:.17g},"
                      f"{r.factor:.17g},{r.projector_norm:.17g}\n")
-
-    if hasattr(file, "write"):
-        write(file)
-    else:
-        with open(file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    write_text(file, "".join(lines))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,15 @@ def format_value(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def write_text(file, text: str) -> None:
+    """Write ``text`` to an open text file, or to a new file at a path."""
+    if hasattr(file, "write"):
+        file.write(text)
+    else:
+        with open(file, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 @dataclass
 class ScanTable:
     """Named real-valued columns, rows ordered by the scan variable."""
@@ -38,8 +47,4 @@ class ScanTable:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, file) -> None:
-        if hasattr(file, "write"):
-            file.write(self.to_csv())
-        else:
-            with open(file, "w", encoding="utf-8", newline="") as fh:
-                fh.write(self.to_csv())
+        write_text(file, self.to_csv())

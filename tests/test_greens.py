@@ -1,7 +1,10 @@
 import io
+import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from epsrs import (
@@ -13,7 +16,9 @@ from epsrs import (
     spectral_norm,
     toy_h0,
 )
+from epsrs import experiments
 from epsrs.exceptions import BracketingError, SingularMatrixError
+from epsrs.greens import _merge_pixel
 
 from helpers import ginibre, random_unitary
 
@@ -126,6 +131,20 @@ class TestPseudospectrum:
         re, im, val = lines[5].split(",")  # row-major: middle point
         assert float(re) == 1.0 and float(im) == 0.0 and abs(float(val)) < 1e-14
 
+    def test_csv_matches_cell_by_cell_reference(self, tmp_path):
+        rng = np.random.default_rng(25)
+        grid = pseudospectrum(ginibre(3, rng), (-2.0, 2.5), (-1.5, 1.0), (23, 17))
+        reference = "re,im,log10_norm\n" + "".join(
+            f"{re:.17g},{im:.17g},{grid.values[i, j]:.17g}\n"
+            for i, im in enumerate(grid.im_axis)
+            for j, re in enumerate(grid.re_axis))
+        buf = io.StringIO()
+        grid.write_csv(buf)
+        assert buf.getvalue() == reference
+        path = tmp_path / "grid.csv"
+        grid.write_csv(path)
+        assert path.read_bytes() == reference.encode()
+
 
 class TestSeparatrixLevel:
     def test_normal_pair_touching_disks(self):
@@ -133,6 +152,79 @@ class TestSeparatrixLevel:
         h0 = np.diag([0.0, 1.0]).astype(complex)
         c_star = separatrix_level(h0, 0.0, 1.0, (-1.2, -0.05))
         assert abs(c_star - np.log10(0.5)) <= 0.01
+
+    def test_normal_pair_kink_falls_back_to_grid_level(self):
+        # the saddle of a normal pair is a kink where the two smallest
+        # singular values cross, so the on-grid merge level is returned, both
+        # with the kink on a grid point (odd resolution) and between points
+        h0 = np.diag([0.0, 1.0]).astype(complex)
+        for resolution in (100, 401):
+            grid = pseudospectrum(h0, (-0.75, 1.75), (-0.75, 0.75), resolution)
+            c_star = separatrix_level(h0, 0.0, 1.0, (-1.2, -0.05), grid=grid)
+            assert c_star == -grid.values[_merge_pixel(grid, 0.0, 1.0)]
+            cell = grid.re_axis[1] - grid.re_axis[0]
+            assert np.log10(0.5 - cell) <= c_star <= np.log10(0.5)
+
+    @pytest.mark.parametrize("detuning", [5e-4, 2e-3, 1e-2])
+    def test_toy_matches_direct_saddle_search(self, detuning):
+        # the toy saddle lies on the real axis between the poles, where it is
+        # the maximum of sigma_min(E - H0): a bounded 1-d search finds it
+        h0 = toy_h0(experiments.toy_params(detuning))
+
+        def sigma_min(e):
+            return np.linalg.svd(e * np.eye(3) - h0, compute_uv=False)[-1]
+
+        scan = np.linspace(0.0, detuning, 41)[1:-1]
+        k = int(np.argmax([sigma_min(e) for e in scan]))
+        best = scipy.optimize.minimize_scalar(
+            lambda e: -sigma_min(e), bounds=(scan[k - 1], scan[k + 1]),
+            method="bounded", options={"xatol": detuning * 1e-12})
+        _, c_star = experiments.fig4_grid(detuning, resolution=101)
+        assert abs(c_star - math.log10(-best.fun)) <= 1e-6
+
+    def test_off_axis_saddle_matches_fine_grid(self):
+        rng = np.random.default_rng(2)
+        h0 = ginibre(4, rng)
+        pa, pb = min(combinations(np.linalg.eigvals(h0), 2),
+                     key=lambda pair: abs(pair[0] - pair[1]))
+        margin = 0.75 * abs(pb - pa)
+        frame = ((min(pa.real, pb.real) - margin, max(pa.real, pb.real) + margin),
+                 (min(pa.imag, pb.imag) - margin, max(pa.imag, pb.imag) + margin))
+        grid = pseudospectrum(h0, frame[0], frame[1], 101)
+        c_star = separatrix_level(h0, pa, pb, (-8.0, 3.0), grid=grid)
+        # the default frame, up to rounding: without grid= the result agrees
+        assert_allclose(separatrix_level(h0, pa, pb, (-8.0, 3.0), resolution=101),
+                        c_star, rtol=1e-12)
+        i, j = _merge_pixel(grid, pa, pb)
+        d_re = grid.re_axis[1] - grid.re_axis[0]
+        d_im = grid.im_axis[1] - grid.im_axis[0]
+        assert abs(grid.im_axis[i]) > 10 * d_im  # well off the real axis
+        # brute force: sigma_min on a 50x finer grid over +-2 cells around the
+        # merge pixel; the saddle is where its sampled gradient is smallest
+        re = grid.re_axis[j] + d_re * np.linspace(-2, 2, 201)
+        im = grid.im_axis[i] + d_im * np.linspace(-2, 2, 201)
+        energies = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+        shifted = energies.reshape(-1, 1, 1) * np.eye(4) - h0
+        sigma = np.linalg.svd(shifted, compute_uv=False)[:, -1].reshape(201, 201)
+        g_im, g_re = np.gradient(sigma, im, re)
+        slope = np.hypot(g_re, g_im)[1:-1, 1:-1]
+        k, l = np.unravel_index(np.argmin(slope), slope.shape)
+        c_fine = math.log10(sigma[k + 1, l + 1])
+        assert abs(c_star - c_fine) <= 1e-6
+        # the grid pixel alone is further off: the refinement did the work
+        assert abs(-grid.values[i, j] - c_fine) > 1e-5
+
+    def test_fig4_builds_one_grid(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pseudospectrum(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "pseudospectrum", counting)
+        monkeypatch.setattr("epsrs.greens.pseudospectrum", counting)
+        experiments.fig4_grid(resolution=51)
+        assert len(calls) == 1
 
     def test_swap_symmetric(self):
         h0 = np.diag([0.0, 1.0]).astype(complex)

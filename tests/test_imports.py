@@ -1,0 +1,21 @@
+"""Import cost: ``import epsrs`` loads no scipy subpackage it does not use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import epsrs
+
+
+def test_import_skips_unused_scipy_subpackages():
+    # scipy.ndimage and scipy.optimize each add tens of milliseconds to the
+    # import; a fresh interpreter shows what `import epsrs` alone pulls in
+    src = str(Path(epsrs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, epsrs; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'ndimage'], ['scipy', 'optimize']))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == []

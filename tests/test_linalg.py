@@ -32,6 +32,14 @@ class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
+    def test_tiny_entries_do_not_underflow(self):
+        # squaring 1e-176 underflows to 0; the norm must still equal the
+        # spectral norm of these rank-1 matrices
+        for a, expected in (([[1e-176]], 1e-176),
+                            ([[1e-176, 1e-176j]], np.sqrt(2.0) * 1e-176)):
+            assert_allclose(frobenius_norm(a), expected, rtol=1e-15)
+            assert_allclose(frobenius_norm(a), spectral_norm(a), rtol=1e-15)
+
     def test_leading_coefficient_pattern(self):
         # the EP3 leading coefficient for A = B = -1 has a single entry AB = 1
         w = np.zeros((3, 3), dtype=complex)
