@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Full resolvent expansion: projectors, nilpotents, and Petermann factors.
 
-Contour moments around each cluster give the spectral projector P_l and the
-nilpotent powers N_l^k; summing the expansion reproduces the Green's
-function. For isolated states ||P_l||_2 = sqrt(K_l) is their response
-strength, diverging as the state approaches an EP.
+One complex Schur form, reordered once per cluster (ztrsen) and
+block-diagonalized by a Sylvester solve (ztrsyl), gives the spectral
+projector P_l and the nilpotent powers N_l^k of every cluster; summing the
+expansion reproduces the Green's function. For isolated states
+||P_l||_2 = sqrt(K_l) is their response strength, diverging as the state
+approaches an EP.
 """
 
 import numpy as np

@@ -3,7 +3,9 @@
 Everything here is a thin, validated layer over LAPACK (via numpy/scipy):
 matrices are plain ``numpy.ndarray`` of complex128, operations are pure
 functions, and there is no global mutable state, so all of it is safe to call
-concurrently.
+concurrently. ``scipy.linalg`` is imported inside the three functions that
+need it (:func:`invert`, :func:`eig`, :func:`schur`), so numpy-only callers
+never pay for loading it.
 
 The on-disk matrix format shared by all modules is JSON::
 
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalFailureError, PairingError, SingularMatrixError
 
@@ -105,6 +106,8 @@ def invert(a) -> np.ndarray:
     exceeds ``CONDITION_WARN`` (near-pole Green's function evaluations live
     there on purpose).
     """
+    import scipy.linalg
+
     m = as_matrix(a, square=True)
     with warnings.catch_warnings():
         # scipy warns on exactly-zero pivots; the pivot check below raises.
@@ -143,11 +146,16 @@ class EigenPair:
         return complex(np.vdot(self.left, self.right))
 
 
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues only, in LAPACK order (the package's "raw" ordering)."""
+def _eig_input(a) -> np.ndarray:
     m = as_matrix(a, square=True)
     if m.shape[0] > MAX_EIG_DIM:
         raise ValueError(f"matrix dimension {m.shape[0]} exceeds {MAX_EIG_DIM}")
+    return m
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Eigenvalues only, in LAPACK order (the package's "raw" ordering)."""
+    m = _eig_input(a)
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -162,9 +170,9 @@ def eig(a) -> list[EigenPair]:
     eigenvalues. Each returned left vector is verified to be an eigenvector
     of the conjugate transpose; a failed check raises :class:`PairingError`.
     """
-    m = as_matrix(a, square=True)
-    if m.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"matrix dimension {m.shape[0]} exceeds {MAX_EIG_DIM}")
+    import scipy.linalg
+
+    m = _eig_input(a)
     try:
         w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     except np.linalg.LinAlgError as exc:
@@ -183,6 +191,26 @@ def eig(a) -> list[EigenPair]:
             )
         pairs.append(EigenPair(complex(w[i]), right, left))
     return pairs
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``a = z @ t @ z^H``: ``t`` upper triangular with the
+    eigenvalues on its diagonal, ``z`` unitary.
+
+    The diagonal of ``t`` is in the factorization's own order, not that of
+    :func:`eigenvalues` (which balances first), and agrees with it only to
+    rounding. Raises :class:`NumericalFailureError` naming the Schur stage
+    when the QR iteration fails.
+    """
+    import scipy.linalg
+
+    m = _eig_input(a)
+    try:
+        t, z = scipy.linalg.schur(m, output="complex", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"Schur factorization: QR iteration failed ({exc})") from exc
+    return t, z
 
 
 # ---------------------------------------------------------------------------

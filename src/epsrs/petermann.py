@@ -19,19 +19,28 @@ from .linalg import EigenPair, as_matrix, eig, spectral_norm
 from .tables import write_text
 
 
+def _overlap(pair: EigenPair) -> complex:
+    """Biorthogonal overlap <L|R>, checked to be usable as a divisor.
+
+    Raises :class:`AtEpError` when it vanishes (the state is defective). Besides
+    the hard |<L|R>| <= 1e-300 cutoff this also fires when |<L|R>|^2
+    underflows, since K is then not representable in double precision.
+    """
+    overlap = complex(np.vdot(pair.left, pair.right))
+    if abs(overlap) <= 1e-300 or abs(overlap) ** 2 == 0.0:
+        raise AtEpError(
+            "biorthogonal overlap vanished: eigenstate is defective (at an EP)"
+        )
+    return overlap
+
+
 def petermann_factor(pair: EigenPair) -> float:
     """K = <R|R><L|L> / |<L|R>|^2 (= 1/|<L|R>|^2 for unit vectors); K >= 1.
 
     Raises :class:`AtEpError` when the biorthogonal overlap vanishes (the
-    state is defective and K diverges). Besides the hard |<L|R>| <= 1e-300
-    cutoff this also fires when |<L|R>|^2 underflows, since K is then not
-    representable in double precision.
+    state is defective and K diverges).
     """
-    overlap = abs(np.vdot(pair.left, pair.right))
-    if overlap <= 1e-300 or overlap * overlap == 0.0:
-        raise AtEpError(
-            "biorthogonal overlap vanished: eigenstate is defective (at an EP)"
-        )
+    overlap = abs(_overlap(pair))
     rr = float(np.vdot(pair.right, pair.right).real)
     ll = float(np.vdot(pair.left, pair.left).real)
     return rr * ll / (overlap * overlap)
@@ -42,12 +51,7 @@ def projector_of_state(pair: EigenPair) -> np.ndarray:
 
     Idempotent, maps R to itself, and ||P||_2 = ||P||_F = sqrt(K).
     """
-    overlap = complex(np.vdot(pair.left, pair.right))
-    if abs(overlap) <= 1e-300 or abs(overlap) ** 2 == 0.0:
-        raise AtEpError(
-            "biorthogonal overlap vanished: eigenstate is defective (at an EP)"
-        )
-    return np.outer(pair.right, pair.left.conj()) / overlap
+    return np.outer(pair.right, pair.left.conj()) / _overlap(pair)
 
 
 def bauer_fike_bound(k_factor: float, epsilon: float, h1_norm: float) -> float:
@@ -59,7 +63,11 @@ def bauer_fike_bound(k_factor: float, epsilon: float, h1_norm: float) -> float:
 
 @dataclass(frozen=True)
 class PetermannRecord:
-    """Petermann factor and projector norm of one eigenpair."""
+    """Petermann factor and projector norm of one eigenpair.
+
+    ``projector_norm`` is ||R|| ||L|| / |<L|R>|, the spectral norm of the
+    rank-1 projector |R><L| / <L|R> in closed form (= sqrt(K)).
+    """
 
     eigen: EigenPair
     factor: float
@@ -73,10 +81,9 @@ def petermann_records(h0) -> list[PetermannRecord]:
     """
     records = []
     for pair in eig(as_matrix(h0, square=True)):
-        k = petermann_factor(pair)
-        records.append(
-            PetermannRecord(pair, k, spectral_norm(projector_of_state(pair)))
-        )
+        norms = float(np.linalg.norm(pair.right) * np.linalg.norm(pair.left))
+        records.append(PetermannRecord(pair, petermann_factor(pair),
+                                       norms / abs(_overlap(pair))))
     return records
 
 

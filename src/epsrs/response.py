@@ -5,7 +5,7 @@ Laurent coefficient W of the Green's function at the EP eigenvalue,
 
     G(E) ~ W / (E - lambda)^n,     xi = ||W||_2 = ||W||_F  (W has rank 1).
 
-Two routes are implemented. ``xi_special`` handles the m = n case, where
+Two routes give xi. ``xi_special`` handles the m = n case, where
 H0 - lambda*1 is itself nilpotent and W is a plain matrix power.
 ``xi_residue`` handles the general m >= n case by integrating the resolvent
 around a circle separating the EP from the rest of the spectrum,
@@ -13,14 +13,18 @@ around a circle separating the EP from the rest of the spectrum,
     W = (1 / 2 pi i) \\oint_C (E - lambda)^(n-1) G(E) dE,
 
 evaluated with the trapezoidal rule (exponentially convergent on circles for
-analytic integrands). The same contour moments with powers 0 .. n-1 yield the
-spectral projector and all nilpotent powers of a cluster, i.e. the full
-resolvent expansion
+analytic integrands); its sums use numpy's fixed pairwise topology, so
+results are bitwise reproducible.
 
-    G(E) = sum_l [ P_l / (E - E_l) + sum_k N_l^k / (E - E_l)^(k+1) ].
+``spectral_decomposition`` gives every term of the resolvent expansion
 
-All functions are pure; quadrature sums use numpy's fixed pairwise topology,
-so results are bitwise reproducible.
+    G(E) = sum_l [ P_l / (E - E_l) + sum_k N_l^k / (E - E_l)^(k+1) ]
+
+from one complex Schur form and one Sylvester solve per cluster, with no
+quadrature. The contour moments with powers 0 .. n-1 would give the same
+P_l and N_l^k; the test suite keeps them as the independent oracle.
+
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -35,9 +39,17 @@ from .exceptions import (
     ContourError,
     EpsrsError,
     NotAnEpError,
+    NumericalFailureError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, eigenvalues, frobenius_norm, matrix_to_json
+from .linalg import (
+    as_matrix,
+    as_vector,
+    eigenvalues,
+    frobenius_norm,
+    matrix_to_json,
+    schur,
+)
 from .parallel import thread_map
 from .tables import ScanTable
 
@@ -366,14 +378,6 @@ def _xi_measure(old, new) -> float:
     return abs(xi_new - xi_old) / max(xi_new, xi_old, 1e-300)
 
 
-def _matrix_measure(old, new) -> float:
-    worst = 0.0
-    for mo, mn in zip(old, new):
-        denom = max(float(np.linalg.norm(mn, "fro")), 1e-300)
-        worst = max(worst, float(np.linalg.norm(mn - mo, "fro")) / denom)
-    return worst
-
-
 def _report_from_w(cluster: SpectralCluster, w_op: np.ndarray,
                    nodes_used: int, quad_converged: bool) -> EpReport:
     s = np.linalg.svd(w_op, compute_uv=False)
@@ -475,45 +479,98 @@ class SpectralDecomposition:
         return total
 
 
-def spectral_decomposition(h0, clusters: list[SpectralCluster] | None = None,
-                           contours: list[Contour] | None = None,
-                           *, node_cap: int = NODE_CAP) -> SpectralDecomposition:
-    """Extract P_l and N_l^k for every cluster by contour moments.
+def spectral_decomposition(h0, clusters: list[SpectralCluster] | None = None
+                           ) -> SpectralDecomposition:
+    """P_l and N_l^k of every cluster from one complex Schur form.
 
-    Contours must be pairwise non-overlapping and cover the clusters one to
-    one (defaults satisfy this by construction).
+    With h0 = Z T Z^H (:func:`epsrs.linalg.schur`), ``ztrsen`` moves a
+    cluster's k Schur entries to the top of the original T and Z, giving
+    T' = [[T11, T12], [0, T22]] and Z', and ``ztrsyl`` solves
+    T11 X - X T22 = T12 (Bavely & Stewart, SINUM 16, 1979). With
+    U = Z'[:, :k], V = U^H + X Z'[:, k:]^H and lambda the cluster eigenvalue,
+
+        P = U V,        N^j = U (T11 - lambda)^j V.
+
+    No quadrature runs. The residue route stays in :func:`xi_residue` for
+    xi, and its contour moments, which give the same P and N^j, serve the
+    tests as the oracle. A Schur entry goes to the cluster holding its
+    nearest :func:`eigenvalues` entry (the order ``member_indices`` refer
+    to); entries in no cluster stay in T22.
+
+    Raises :class:`NumericalFailureError`, naming the stage and the cluster,
+    when the Schur factorization fails; when a cluster's members do not fit
+    the matrix, its Schur entry count differs from its multiplicity, or a
+    foreign eigenvalue is no farther from its eigenvalue than a member (each
+    a sign of clusters of another matrix); when ``ztrsen`` moves fewer
+    entries than selected; or when ``ztrsyl`` finds T11 and T22
+    inseparable. A perturbed projector is never returned.
     """
+    from scipy.linalg.lapack import ztrsen, ztrsyl
+
     a = as_matrix(h0, square=True)
-    w = eigenvalues(a)
     if clusters is None:
         clusters = cluster_spectrum(a)
-    if contours is None:
-        contours = [default_contour(a, c, spectrum=w) for c in clusters]
-    if len(contours) != len(clusters):
-        raise ValueError("need exactly one contour per cluster")
-    scale = max(float(np.linalg.norm(a, "fro")), 1.0)
-    for i in range(len(contours)):
-        for j in range(i + 1, len(contours)):
-            sep = abs(contours[i].center - contours[j].center)
-            # tangent circles (the default when two clusters are mutual
-            # nearest neighbors) have disjoint interiors and are fine
-            if sep < contours[i].radius + contours[j].radius:
-                raise ContourError(f"contours {i} and {j} overlap")
+    t, z = schur(a)
+    diag = np.diag(t)
+    w = eigenvalues(a)
+    m = a.shape[0]
+    owner_of = np.full(m, -1)
+    for idx, cluster in enumerate(clusters):
+        members = np.asarray(cluster.member_indices, dtype=int)
+        if members.min() < 0 or members.max() >= m:
+            raise NumericalFailureError(
+                f"cluster {idx}: member indices {cluster.member_indices} do not "
+                f"fit a {m} x {m} matrix"
+            )
+        owner_of[members] = idx
+    # eigvals balances first, so its order differs from the Schur order and
+    # its values agree with diag(T) only to rounding: map by value
+    owners = owner_of[np.argmin(np.abs(diag[:, np.newaxis] - w), axis=1)]
     projectors = []
     nilpotents = []
-    for cluster, contour in zip(clusters, contours):
-        _validate_contour(w, cluster, contour, scale)
-        moments, _, converged = _adaptive_moments(
-            a, contour, list(range(cluster.order)), _matrix_measure, 1e-12,
-            node_cap,
-        )
-        if not converged:
-            raise ContourError(
-                f"moments around {contour.center} did not stabilize at the "
-                f"{node_cap}-node cap"
+    for idx, cluster in enumerate(clusters):
+        lam = complex(cluster.eigenvalue)
+        select = owners == idx
+        k = int(np.count_nonzero(select))
+        if k != cluster.algebraic_multiplicity:
+            raise NumericalFailureError(
+                f"cluster {idx} at {lam:.6g}: {k} Schur entries for "
+                f"multiplicity {cluster.algebraic_multiplicity}"
             )
-        projectors.append(moments[0])
-        nilpotents.append(moments[1:])
+        dist = np.abs(diag - lam)
+        if k < m and dist[select].max() >= dist[~select].min():
+            raise NumericalFailureError(
+                f"cluster {idx} at {lam:.6g}: a foreign eigenvalue at distance "
+                f"{dist[~select].min():.3e} is no farther than a member "
+                f"({dist[select].max():.3e}); the cluster does not belong to "
+                "this matrix"
+            )
+        ts, zs, _, sdim, _, _, info = ztrsen(select.astype(np.int32), t, z,
+                                             job="N")
+        if info != 0 or sdim != k:
+            raise NumericalFailureError(
+                f"ztrsen reordering, cluster {idx}: moved {sdim} of {k} Schur "
+                f"entries (info {info})"
+            )
+        u = zs[:, :k]
+        v = u.conj().T
+        if k < m:
+            x, scale, info = ztrsyl(ts[:k, :k], ts[k:, k:], ts[:k, k:], isgn=-1)
+            if info != 0 or not scale > 0.0:
+                raise NumericalFailureError(
+                    f"ztrsyl Sylvester solve, cluster {idx}: info {info}, "
+                    f"scale {scale:.3e} (the cluster and the rest of the "
+                    "spectrum are not separable)"
+                )
+            v = v + (x / scale) @ zs[:, k:].conj().T
+        projectors.append(u @ v)
+        shifted = ts[:k, :k] - lam * np.eye(k)
+        power = np.eye(k, dtype=complex)
+        nils = []
+        for _ in range(1, cluster.order):
+            power = power @ shifted
+            nils.append(u @ power @ v)
+        nilpotents.append(nils)
     return SpectralDecomposition(list(clusters), projectors, nilpotents)
 
 

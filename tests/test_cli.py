@@ -1,13 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epsrs
 from epsrs import save_matrix, toy_h0
 from epsrs.cli import main
 from epsrs.experiments import toy_params
+
+from helpers import dense_jordan
 
 
 @pytest.fixture()
@@ -205,6 +210,39 @@ class TestDecompose:
         assert orders == [1, 2]
         ep = [c for c in payload["clusters"] if c["order"] == 2][0]
         assert len(ep["nilpotent_powers"]) == 1
+
+    def test_schur_failure_exit_code(self, toy_matrix_file, monkeypatch, capsys):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Schur form not found")
+
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        assert main(["decompose", "--matrix", toy_matrix_file]) == 2
+        assert "Schur factorization" in capsys.readouterr().err
+
+    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+        a, _ = dense_jordan(16, 2, np.random.default_rng(16))
+        matrix = tmp_path / "ep2.json"
+        save_matrix(a, matrix)
+        src = str(Path(epsrs.__file__).resolve().parents[1])
+        procs = []
+        for run, threads in enumerate(("1", "1", "2")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"run{run}.json"
+            procs.append((out, subprocess.Popen(
+                [sys.executable, "-m", "epsrs.cli", "decompose", "--matrix",
+                 str(matrix), "--tol-cluster", "1e-6", "--out", str(out)],
+                env=env)))
+        outputs = []
+        for out, proc in procs:
+            assert proc.wait(timeout=60) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        orders = [c["order"] for c in json.loads(outputs[0])["clusters"]]
+        assert sorted(orders) == [1] * 14 + [2]
 
 
 def test_threaded_run_matches_serial(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Import cost: ``import epsrs`` loads no scipy subpackage it does not use."""
+"""Import cost: ``import epsrs`` loads no scipy subpackage; the functions that
+need ``scipy.linalg`` import it when called."""
 
 import os
 import subprocess
@@ -9,13 +10,15 @@ import epsrs
 
 
 def test_import_skips_unused_scipy_subpackages():
-    # scipy.ndimage and scipy.optimize each add tens of milliseconds to the
-    # import; a fresh interpreter shows what `import epsrs` alone pulls in
+    # scipy.linalg makes up most of a cold import, scipy.ndimage and
+    # scipy.optimize add tens of milliseconds each; a fresh interpreter shows
+    # what `import epsrs` alone pulls in
     src = str(Path(epsrs.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, epsrs; print(' '.join(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'ndimage'], ['scipy', 'optimize']))))")
+            "if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'ndimage'], "
+            "['scipy', 'optimize']))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == []

@@ -20,7 +20,8 @@ from epsrs import (
     toy_h0,
     ToyModelParams,
 )
-from epsrs.exceptions import SingularMatrixError
+from epsrs.exceptions import NumericalFailureError, SingularMatrixError
+from epsrs.linalg import schur
 
 from helpers import ginibre, random_diagonalizable, random_unitary
 
@@ -192,6 +193,31 @@ class TestEig:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             eigenvalues(np.eye(257))
+
+
+class TestSchur:
+    def test_factorization(self):
+        a = ginibre(12, np.random.default_rng(61))
+        t, z = schur(a)
+        assert frobenius_norm(z @ t @ z.conj().T - a) <= 1e-13 * frobenius_norm(a)
+        assert frobenius_norm(z.conj().T @ z - np.eye(12)) <= 1e-13
+        assert np.all(np.tril(t, -1) == 0)
+        w = eigenvalues(a)
+        assert max(np.min(np.abs(w - d)) for d in np.diag(t)) <= 1e-12
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError):
+            schur(np.eye(257))
+
+    def test_qr_failure_is_typed(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Schur form not found")
+
+        monkeypatch.setattr(scipy.linalg, "schur", fail)
+        with pytest.raises(NumericalFailureError, match="Schur factorization"):
+            schur(np.eye(3))
 
 
 class TestMatrixJson:

@@ -200,3 +200,9 @@ class TestRecords:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert len(first) == 4
+
+    def test_projector_norm_is_spectral_norm(self):
+        a = random_diagonalizable(6, np.random.default_rng(47))
+        for r in petermann_records(a):
+            want = spectral_norm(projector_of_state(r.eigen))
+            assert abs(r.projector_norm - want) <= 1e-12 * want

@@ -10,11 +10,13 @@ from epsrs import (
     ToyModelParams,
     cluster_spectrum,
     default_contour,
+    eig,
     eigenvalues,
     frobenius_norm,
     greens_function,
     passive_bound_check,
     perturbation_coupling,
+    projector_of_state,
     spectral_decomposition,
     splitting_bound,
     surface_scan,
@@ -25,9 +27,16 @@ from epsrs import (
     xi_residue,
     xi_special,
 )
-from epsrs.exceptions import AmbiguousOrderError, ContourError, NotAnEpError
+from epsrs import response
+from epsrs.linalg import schur
+from epsrs.exceptions import (
+    AmbiguousOrderError,
+    ContourError,
+    NotAnEpError,
+    NumericalFailureError,
+)
 
-from helpers import jordan_conjugated, random_unitary
+from helpers import contour_decomposition, dense_jordan, jordan_conjugated, random_unitary
 
 TOY = ToyModelParams(e_a=0.0, e_b=2e-3, a=-1.0, b=-1.0)
 
@@ -259,12 +268,113 @@ class TestSpectralDecomposition:
             assert frobenius_norm(rebuilt - direct) <= \
                 1e-10 * frobenius_norm(direct)
 
-    def test_overlapping_contours_rejected(self):
-        h0 = toy_h0(TOY)
-        clusters = cluster_spectrum(h0)
-        contours = [Contour(c.eigenvalue, 1.5e-3) for c in clusters]
-        with pytest.raises(ContourError):
-            spectral_decomposition(h0, clusters, contours)
+
+DENSE_CASES = [(m, order, seed) for m in (6, 16) for order in (1, 2, 3)
+               for seed in (0, 1)]
+
+
+def dense_clusters(m, order, seed):
+    a, _ = dense_jordan(m, order, np.random.default_rng(7000 + 10 * m + seed))
+    # EP members split by ~eps^(1/order); the foreign eigenvalues sit >= 0.3
+    # apart, so 1e-3 groups exactly the Jordan block
+    clusters = cluster_spectrum(a, tolerance=1e-3)
+    multi = [c for c in clusters if c.algebraic_multiplicity > 1]
+    assert [(c.algebraic_multiplicity, c.order) for c in multi] == \
+        ([(order, order)] if order > 1 else [])
+    return a, clusters
+
+
+def assert_matches_contour_oracle(a, clusters):
+    deco = spectral_decomposition(a, clusters)
+    projectors, nilpotents = contour_decomposition(a, clusters)
+    assert [len(n) for n in deco.nilpotent_powers] == [len(n) for n in nilpotents]
+    for got, want in zip(deco.projectors + sum(deco.nilpotent_powers, []),
+                         projectors + sum(nilpotents, [])):
+        assert frobenius_norm(got - want) <= 1e-10 * frobenius_norm(want)
+
+
+class TestSchurDecomposition:
+    """spectral_decomposition on non-triangular Q T Q^dagger inputs, against
+    the contour-moment oracle and the rank-1 projectors of ``eig``."""
+
+    @pytest.mark.parametrize("m,order,seed", DENSE_CASES)
+    def test_matches_contour_oracle(self, m, order, seed):
+        assert_matches_contour_oracle(*dense_clusters(m, order, seed))
+
+    @pytest.mark.parametrize("m,order", [(6, 2), (16, 3)])
+    def test_simple_projectors_match_eig(self, m, order):
+        a, clusters = dense_clusters(m, order, 0)
+        deco = spectral_decomposition(a, clusters)
+        pairs = eig(a)
+        for cluster, proj in zip(deco.clusters, deco.projectors):
+            if cluster.algebraic_multiplicity > 1:
+                continue
+            pair = min(pairs, key=lambda p: abs(p.value - cluster.eigenvalue))
+            want = projector_of_state(pair)
+            assert frobenius_norm(proj - want) <= 1e-10 * frobenius_norm(want)
+
+    @pytest.mark.parametrize("m,order", [(6, 3), (16, 2)])
+    def test_projector_identities(self, m, order):
+        a, clusters = dense_clusters(m, order, 1)
+        deco = spectral_decomposition(a, clusters)
+        scale = max(frobenius_norm(p) for p in deco.projectors)
+        assert frobenius_norm(sum(deco.projectors) - np.eye(m)) <= 1e-10 * scale
+        for i, pi in enumerate(deco.projectors):
+            for j, pj in enumerate(deco.projectors):
+                target = pi if i == j else np.zeros((m, m))
+                assert frobenius_norm(pi @ pj - target) <= 1e-10 * scale**2
+
+    def test_schur_order_differs_from_eigenvalue_order(self):
+        # diagonal scaling changes what balancing does, so the balanced
+        # eigvals order (which member_indices refer to) and the Schur order
+        # part ways; clusters must still find their own Schur entries
+        a, _ = dense_jordan(6, 2, np.random.default_rng(1))
+        scale = np.logspace(0, 2, 6)
+        a = scale[:, None] * a / scale
+        t, _ = schur(a)
+        w = eigenvalues(a)
+        nearest = np.argmin(np.abs(np.diag(t)[:, None] - w), axis=1)
+        assert np.any(nearest != np.arange(6))
+        clusters = cluster_spectrum(a, tolerance=1e-3)
+        assert [c.order for c in clusters if c.order > 1] == [2]
+        assert_matches_contour_oracle(a, clusters)
+
+    def test_runs_no_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("contour quadrature ran")
+
+        monkeypatch.setattr(response, "_ring_samples", no_quadrature)
+        a, clusters = dense_clusters(16, 3, 0)
+        spectral_decomposition(a, clusters)
+        spectral_decomposition(toy_h0(TOY))
+
+    def test_clusters_of_another_matrix_rejected(self):
+        a, _ = dense_clusters(6, 2, 0)
+        _, other = dense_clusters(6, 2, 1)
+        with pytest.raises(NumericalFailureError, match="does not belong"):
+            spectral_decomposition(a, other)
+        _, bigger = dense_clusters(16, 2, 0)
+        with pytest.raises(NumericalFailureError, match="do not fit"):
+            spectral_decomposition(a, bigger)
+
+    def test_multiplicity_mismatch_rejected(self):
+        # the EP pair declared as two singletons: each claims one raw index,
+        # but the order-2 block cannot be split by value
+        a = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        a[0, 1] = 1.0
+        w = eigenvalues(a)
+        ep = [i for i in range(3) if abs(w[i]) < 0.5]
+        halves = [SpectralCluster(complex(w[i]), 1, 1, (i,)) for i in ep]
+        with pytest.raises(NumericalFailureError,
+                           match="2 Schur entries for multiplicity 1"):
+            spectral_decomposition(a, halves)
+
+    def test_subset_of_clusters(self):
+        a, clusters = dense_clusters(6, 2, 0)
+        full = spectral_decomposition(a, clusters)
+        part = spectral_decomposition(a, clusters[1:3])
+        for got, want in zip(part.projectors, full.projectors[1:3]):
+            assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
 
 
 class TestSurfaceScan:
