@@ -24,11 +24,9 @@ from .greens import PseudospectrumGrid, greens_function, pseudospectrum, separat
 from .linalg import (
     EigenPair,
     as_matrix,
-    as_vector,
     eig,
     eigenvalues,
     frobenius_norm,
-    invert,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -67,7 +65,6 @@ from .response import (
     clustering_tolerance,
     default_contour,
     passive_bound_check,
-    perturbation_coupling,
     spectral_decomposition,
     splitting_bound,
     surface_scan,
@@ -83,7 +80,7 @@ __all__ = [
     "EpsrsError", "NotAnEpError", "NumericalFailureError", "PairingError",
     "SeparationError", "SingularMatrixError",
     "PseudospectrumGrid", "greens_function", "pseudospectrum", "separatrix_level",
-    "EigenPair", "as_matrix", "as_vector", "eig", "eigenvalues", "frobenius_norm", "invert",
+    "EigenPair", "as_matrix", "eig", "eigenvalues", "frobenius_norm",
     "load_matrix", "matrix_from_json", "matrix_to_json", "save_matrix",
     "spectral_norm",
     "ChiralityModelParams", "ToyModelParams", "chirality_eigenvalues",
@@ -94,7 +91,7 @@ __all__ = [
     "records_to_csv", "xi_via_petermann",
     "Contour", "EpReport", "PassiveBound", "SpectralCluster",
     "SpectralDecomposition", "cluster_spectrum", "clustering_tolerance",
-    "default_contour", "passive_bound_check", "perturbation_coupling",
+    "default_contour", "passive_bound_check",
     "spectral_decomposition", "splitting_bound", "surface_scan", "xi_residue",
     "xi_special",
     "ScanTable",

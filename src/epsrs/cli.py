@@ -2,14 +2,14 @@
 
 Subcommands: srs, fig2, fig3, fig4, fig5, scan-surface, petermann,
 decompose. Exit codes: 0 success, 1 input error, 2 numerical failure.
-Parallelism over scan samples is capped by the EPSRS_THREADS environment
-variable (default 1); outputs are deterministic given flags + seed.
+Outputs are deterministic given flags + seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -19,7 +19,14 @@ from .exceptions import AmbiguousOrderError, EpsrsError
 from .linalg import load_matrix, matrix_to_json
 from .models import ChiralityModelParams, ToyModelParams, chirality_h0, toy_h0
 from .petermann import petermann_records, records_to_csv
-from .response import Contour, cluster_spectrum, spectral_decomposition, surface_scan, xi_residue
+from .response import (
+    cluster_spectrum,
+    default_contour,
+    spectral_decomposition,
+    surface_scan,
+    xi_residue,
+)
+from .tables import write_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,12 +120,7 @@ def _require_matrix(args) -> np.ndarray:
 
 
 def _emit(args, text: str) -> None:
-    out = args.out or getattr(args, "default_out", None)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_text(args.out or getattr(args, "default_out", None) or sys.stdout, text)
 
 
 def _clusters_for(args, a):
@@ -146,9 +148,7 @@ def _cmd_srs(args) -> int:
         cluster = clusters[args.cluster]
     else:
         cluster = max(clusters, key=lambda c: c.order)
-    contour = None
-    if args.rc is not None:
-        contour = Contour(cluster.eigenvalue, args.rc, args.nodes)
+    contour = default_contour(a, cluster, radius=args.rc, nodes=args.nodes)
     report = xi_residue(a, cluster, contour)
     _emit(args, json.dumps(report.to_json()) + "\n")
     return 0 if report.converged else 2
@@ -167,17 +167,18 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
+    out = args.out or args.default_out
+    sidecar = os.path.splitext(out)[0] + ".json"
+    if sidecar == out:
+        raise ValueError(f"--out {out} is the path of the separatrix sidecar; "
+                         "give the CSV another extension than .json")
     frame = None
     if args.window:
         frame = ((args.window[0], args.window[1]), (args.window[2], args.window[3]))
     grid, c_star = experiments.fig4_grid(args.detuning, frame, args.resolution,
                                          (args.c_lo, args.c_hi))
-    out = args.out or args.default_out
     grid.write_csv(out)
-    sidecar = out.rsplit(".", 1)[0] + ".json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({"separatrix_c": c_star}, fh)
-        fh.write("\n")
+    write_text(sidecar, json.dumps({"separatrix_c": c_star}) + "\n")
     sys.stdout.write(f"separatrix_c = {c_star:.4f} ({out}, {sidecar})\n")
     return 0
 
@@ -225,12 +226,7 @@ def _cmd_scan_surface(args) -> int:
 
 def _cmd_petermann(args) -> int:
     a = _require_matrix(args)
-    records = petermann_records(a)
-    out = args.out
-    if out is None:
-        records_to_csv(records, sys.stdout)
-    else:
-        records_to_csv(records, out)
+    records_to_csv(petermann_records(a), args.out or sys.stdout)
     return 0
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .greens import PseudospectrumGrid, pseudospectrum, separatrix_level
 from .models import ToyModelParams, toy_h0, toy_h1, toy_xi2, toy_xi3
-from .parallel import thread_map
 from .response import cluster_spectrum, default_contour, splitting_bound, xi_residue
 from .tables import ScanTable
 
@@ -64,7 +63,7 @@ def fig2_table(d_min: float = 1e-4, d_max: float = 1.0, epsilon: float = 1e-8,
         return (float(d), toy_splitting(d, epsilon), ep2_bound, ep3_bound)
 
     return ScanTable(["detuning", "splitting", "ep2_bound", "ep3_bound"],
-                     thread_map(one, detunings))
+                     [one(d) for d in detunings])
 
 
 def fig3_table(eps_min: float = 1e-13, eps_max: float = 1e-3,
@@ -79,6 +78,7 @@ def fig3_table(eps_min: float = 1e-13, eps_max: float = 1e-3,
         raise ValueError("epsilon range must be positive")
     xi2 = toy_xi2(toy_params(detuning))
     xi3 = toy_xi3(toy_params(0.0))
+    epsilons = log_grid(eps_min, eps_max, points_per_decade)
 
     def one(eps: float) -> tuple[float, ...]:
         return (float(eps), toy_splitting(detuning, eps),
@@ -86,7 +86,7 @@ def fig3_table(eps_min: float = 1e-13, eps_max: float = 1e-3,
                 splitting_bound(xi3, 3, eps, 1.0))
 
     return ScanTable(["epsilon", "splitting", "ep2_bound", "ep3_bound"],
-                     thread_map(one, log_grid(eps_min, eps_max, points_per_decade)))
+                     [one(eps) for eps in epsilons])
 
 
 def fig4_grid(detuning: float = 2e-3, frame=None, resolution: int = 401,
@@ -133,8 +133,7 @@ def fig5_table(d_min: float = 1e-3, d_max: float = 1.0, r_c: float = 1e-11,
         raise ValueError("r_c and eta must be positive")
     detunings = log_grid(d_min, d_max, points_per_decade)
 
-    def one(item) -> tuple[float, ...]:
-        i, d = item
+    def one(i: int, d: float) -> tuple[float, ...]:
         xi_exact = toy_xi2(toy_params(d))
         res = toy_ep2_report(d, r_c)
         pet = xi_via_petermann(toy_h0(toy_params(d)), 0.0, 2, eta=eta,
@@ -144,4 +143,4 @@ def fig5_table(d_min: float = 1e-3, d_max: float = 1.0, r_c: float = 1e-11,
                 abs(pet.xi - xi_exact) / xi_exact)
 
     return ScanTable(["detuning", "residue_rel_err", "petermann_rel_err"],
-                     thread_map(one, list(enumerate(detunings))))
+                     [one(i, d) for i, d in enumerate(detunings)])

@@ -8,16 +8,28 @@ poles, so the log is what survives in double precision).
 
 from __future__ import annotations
 
+import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BracketingError
-from .linalg import as_matrix, invert
+from .exceptions import BracketingError, SingularMatrixError
+from .linalg import as_matrix
 from .tables import write_text
+
+logger = logging.getLogger(__name__)
 
 #: Default grid resolution per axis.
 DEFAULT_RESOLUTION = 401
+
+#: Pivots below this modulus make :func:`greens_function` fail hard.
+SINGULAR_PIVOT = 1e-300
+
+#: Condition-number estimates above this are logged as warnings by
+#: :func:`greens_function` (the Green's function is legitimately evaluated
+#: close to poles, so this never raises).
+CONDITION_WARN = 1e14
 
 #: Saddle refinement: Newton iterations, step tolerance and finite-difference
 #: step (both in grid cells), and the relative gap sigma_2 - sigma_1 below
@@ -29,13 +41,37 @@ _SIMPLE_GAP = 1e-6
 
 
 def greens_function(h0, energy: complex) -> np.ndarray:
-    """Resolvent (E*1 - H0)^-1 at one complex energy.
+    """Resolvent (E*1 - H0)^-1 at one complex energy, by LU with partial
+    pivoting.
 
-    Raises :class:`~epsrs.exceptions.SingularMatrixError` if ``energy`` hits
-    the spectrum of ``h0`` to working precision.
+    Raises :class:`~epsrs.exceptions.SingularMatrixError` if any pivot
+    modulus falls below ``SINGULAR_PIVOT`` (``energy`` hits the spectrum of
+    ``h0`` to working precision); logs a warning when the estimated condition
+    number exceeds ``CONDITION_WARN`` (near-pole evaluations live there on
+    purpose).
     """
+    import scipy.linalg
+
     m = as_matrix(h0, square=True)
-    return invert(energy * np.eye(m.shape[0], dtype=complex) - m)
+    # a non-finite energy makes non-finite entries, rejected here
+    shifted = as_matrix(energy * np.eye(m.shape[0], dtype=complex) - m)
+    with warnings.catch_warnings():
+        # scipy warns on exactly-zero pivots; the pivot check below raises.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    smallest = float(pivots.min())
+    if smallest < SINGULAR_PIVOT:
+        raise SingularMatrixError(
+            f"matrix singular to working precision (|pivot| = {smallest:.3e})",
+            pivot=smallest,
+        )
+    inv = scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0], dtype=complex),
+                                check_finite=False)
+    cond_est = float(np.linalg.norm(shifted, 1) * np.linalg.norm(inv, 1))
+    if cond_est > CONDITION_WARN:
+        logger.warning("ill-conditioned inversion: cond_1 ~ %.3e", cond_est)
+    return inv
 
 
 def _log10_resolvent_norms(h0: np.ndarray, energies: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 Everything here is a thin, validated layer over LAPACK (via numpy/scipy):
 matrices are plain ``numpy.ndarray`` of complex128, operations are pure
 functions, and there is no global mutable state, so all of it is safe to call
-concurrently. ``scipy.linalg`` is imported inside the three functions that
-need it (:func:`invert`, :func:`eig`, :func:`schur`), so numpy-only callers
-never pay for loading it.
+concurrently. ``scipy.linalg`` is imported inside the two functions that
+need it (:func:`eig`, :func:`schur`), so numpy-only callers never pay for
+loading it.
 
 The on-disk matrix format shared by all modules is JSON::
 
@@ -17,28 +17,16 @@ See :func:`matrix_to_json` / :func:`matrix_from_json`.
 from __future__ import annotations
 
 import json
-import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalFailureError, PairingError, SingularMatrixError
-
-logger = logging.getLogger(__name__)
+from .exceptions import NumericalFailureError, PairingError
 
 #: Largest dimension accepted by :func:`eig`; the package targets desk-scale
 #: dense problems only.
 MAX_EIG_DIM = 256
-
-#: Pivots below this modulus make :func:`invert` fail hard.
-SINGULAR_PIVOT = 1e-300
-
-#: Condition-number estimates above this are logged as warnings by
-#: :func:`invert` (the Green's function is legitimately evaluated close to
-#: poles, so this never raises).
-CONDITION_WARN = 1e14
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -57,16 +45,6 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got {m.shape}")
     return m
-
-
-def as_vector(v) -> np.ndarray:
-    """Validate and convert ``v`` to a complex128 1-d array of finite entries."""
-    w = np.asarray(v, dtype=complex)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got ndim={w.ndim}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return w
 
 
 def frobenius_norm(a) -> float:
@@ -98,36 +76,6 @@ def spectral_norm(a) -> float:
     return float(s[0])
 
 
-def invert(a) -> np.ndarray:
-    """Invert a square matrix by LU with partial pivoting.
-
-    Raises :class:`SingularMatrixError` if any pivot modulus falls below
-    ``SINGULAR_PIVOT``; logs a warning when the estimated condition number
-    exceeds ``CONDITION_WARN`` (near-pole Green's function evaluations live
-    there on purpose).
-    """
-    import scipy.linalg
-
-    m = as_matrix(a, square=True)
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the pivot check below raises.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min())
-    if smallest < SINGULAR_PIVOT:
-        raise SingularMatrixError(
-            f"matrix singular to working precision (|pivot| = {smallest:.3e})",
-            pivot=smallest,
-        )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(m.shape[0], dtype=complex),
-                                check_finite=False)
-    cond_est = float(np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
-    if cond_est > CONDITION_WARN:
-        logger.warning("ill-conditioned inversion: cond_1 ~ %.3e", cond_est)
-    return inv
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue with unit-norm right and left eigenvectors.
@@ -140,10 +88,6 @@ class EigenPair:
     value: complex
     right: np.ndarray
     left: np.ndarray
-
-    def overlap(self) -> complex:
-        """Biorthogonal overlap <L|R>."""
-        return complex(np.vdot(self.left, self.right))
 
 
 def _eig_input(a) -> np.ndarray:

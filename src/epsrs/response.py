@@ -42,15 +42,7 @@ from .exceptions import (
     NumericalFailureError,
     SingularMatrixError,
 )
-from .linalg import (
-    as_matrix,
-    as_vector,
-    eigenvalues,
-    frobenius_norm,
-    matrix_to_json,
-    schur,
-)
-from .parallel import thread_map
+from .linalg import as_matrix, eigenvalues, frobenius_norm, matrix_to_json, schur
 from .tables import ScanTable
 
 #: Node cap for adaptive contour quadrature.
@@ -231,7 +223,9 @@ def cluster_spectrum(h0, tolerance: float | None = None,
     imaginary part) to the declared order.
 
     Raises :class:`AmbiguousOrderError` when a rank decision is too close to
-    call; the error names the cluster index to declare.
+    call; the error names the cluster index to declare. Raises ``ValueError``
+    when a declared index names no cluster or a declared order lies outside
+    1..multiplicity.
     """
     a = as_matrix(h0, square=True)
     tol = clustering_tolerance(a) if tolerance is None else float(tolerance)
@@ -239,6 +233,12 @@ def cluster_spectrum(h0, tolerance: float | None = None,
     w = eigenvalues(a)
     groups = _union_find_groups(w, tol)
     groups.sort(key=lambda g: (np.mean(w[g]).real, np.mean(w[g]).imag))
+    for idx in declared:
+        if not 0 <= idx < len(groups):
+            raise ValueError(
+                f"declared order for cluster {idx}, but the spectrum has "
+                f"{len(groups)} clusters (indices 0..{len(groups) - 1})"
+            )
 
     clusters = []
     for idx, group in enumerate(groups):
@@ -330,12 +330,6 @@ def _ring_samples(a: np.ndarray, center: complex, radius: float,
     return z, g
 
 
-def _moments(z: np.ndarray, g: np.ndarray, powers) -> list[np.ndarray]:
-    """(1/2 pi i) \\oint (E-c)^p G dE = mean_j z_j^(p+1) G_j for each p."""
-    return [np.mean(z[:, np.newaxis, np.newaxis] ** (p + 1) * g, axis=0)
-            for p in powers]
-
-
 def _doubled_samples(a, center, radius, z, g):
     """Interleave the existing samples with the midpoints, theta-ordered."""
     n = len(z)
@@ -348,34 +342,27 @@ def _doubled_samples(a, center, radius, z, g):
     return z_all, g_all
 
 
-def _adaptive_moments(a, contour: Contour, powers, measure,
-                      rel_tol: float, node_cap: int = NODE_CAP):
-    """Double nodes until ``measure`` of successive moment sets stabilizes.
+def _residue_moment(a, contour: Contour, power: int):
+    """(1/2 pi i) \\oint (E-c)^power G dE = mean_j z_j^(power+1) G_j.
 
-    ``measure(old_moments, new_moments) <= rel_tol`` defines convergence.
-    Returns (moments, nodes_used, converged).
+    Doubles the trapezoidal nodes until the Frobenius norms of successive
+    moments agree to ``XI_REL_TOL`` relative or ``NODE_CAP`` is reached.
+    Returns (moment, nodes_used, converged).
     """
     nodes = contour.nodes
     thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     z, g = _ring_samples(a, contour.center, contour.radius, thetas)
-    moments = _moments(z, g, powers)
-    converged = False
-    while nodes < node_cap:
+    moment = np.mean(z[:, np.newaxis, np.newaxis] ** (power + 1) * g, axis=0)
+    xi = float(np.linalg.norm(moment, "fro"))
+    while nodes < NODE_CAP:
         z, g = _doubled_samples(a, contour.center, contour.radius, z, g)
         nodes *= 2
-        new_moments = _moments(z, g, powers)
-        delta = measure(moments, new_moments)
-        moments = new_moments
-        if delta <= rel_tol:
-            converged = True
-            break
-    return moments, nodes, converged
-
-
-def _xi_measure(old, new) -> float:
-    xi_old = float(np.linalg.norm(old[0], "fro"))
-    xi_new = float(np.linalg.norm(new[0], "fro"))
-    return abs(xi_new - xi_old) / max(xi_new, xi_old, 1e-300)
+        moment = np.mean(z[:, np.newaxis, np.newaxis] ** (power + 1) * g, axis=0)
+        xi_new = float(np.linalg.norm(moment, "fro"))
+        if abs(xi_new - xi) / max(xi_new, xi, 1e-300) <= XI_REL_TOL:
+            return moment, nodes, True
+        xi = xi_new
+    return moment, nodes, False
 
 
 def _report_from_w(cluster: SpectralCluster, w_op: np.ndarray,
@@ -393,14 +380,14 @@ def _report_from_w(cluster: SpectralCluster, w_op: np.ndarray,
     return EpReport(cluster, w_op, strength, rank1_residual, nodes_used, converged)
 
 
-def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None,
-               *, node_cap: int = NODE_CAP) -> EpReport:
+def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None
+               ) -> EpReport:
     """Response strength of one cluster by residue calculus.
 
     Integrates (E - lambda)^(n-1) G(E) around ``contour`` (default:
     :func:`default_contour`), doubling the trapezoidal node count until two
-    successive xi estimates agree to 1e-13 relative or ``node_cap`` is hit,
-    in which case the report comes back with ``converged=False``.
+    successive xi estimates agree to 1e-13 relative or ``NODE_CAP`` nodes are
+    reached, in which case the report comes back with ``converged=False``.
 
     Raises :class:`ContourError` if the contour fails to separate the
     cluster from the rest of the spectrum.
@@ -411,10 +398,8 @@ def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None,
         contour = default_contour(a, cluster, spectrum=w)
     scale = max(float(np.linalg.norm(a, "fro")), abs(contour.center), 1.0)
     _validate_contour(w, cluster, contour, scale)
-    moments, nodes_used, quad_ok = _adaptive_moments(
-        a, contour, [cluster.order - 1], _xi_measure, XI_REL_TOL, node_cap
-    )
-    return _report_from_w(cluster, moments[0], nodes_used, quad_ok)
+    w_op, nodes_used, quad_ok = _residue_moment(a, contour, cluster.order - 1)
+    return _report_from_w(cluster, w_op, nodes_used, quad_ok)
 
 
 def xi_special(h0, lambda_ep: complex, n: int) -> EpReport:
@@ -604,19 +589,6 @@ def passive_bound_check(report: EpReport, n: int | None = None) -> PassiveBound:
     return PassiveBound(bound, bool(report.strength <= bound))
 
 
-def perturbation_coupling(w_op: np.ndarray, h1, right: np.ndarray | None = None
-                          ) -> float:
-    """Genericity indicator ||W H1||_F (or ||W H1 R||_2 with a vector).
-
-    A generic perturbation has nonzero coupling; small values are flagged by
-    scans but never rejected.
-    """
-    prod = as_matrix(w_op) @ as_matrix(h1)
-    if right is None:
-        return float(np.linalg.norm(prod, "fro"))
-    return float(np.linalg.norm(prod @ as_vector(right)))
-
-
 SCAN_COLUMNS = ["parameter", "xi", "lambda_re", "lambda_im",
                 "foreign_distance", "compensated", "valid"]
 
@@ -624,14 +596,13 @@ SCAN_COLUMNS = ["parameter", "xi", "lambda_re", "lambda_im",
 def surface_scan(generator, samples, order: int, *,
                  compensate_power: int = 1,
                  tolerance: float | None = None,
-                 select: int = 0,
                  nodes: int = 64,
                  radius: float | None = None) -> ScanTable:
     """Sweep a model along an exceptional surface and tabulate xi.
 
     ``generator`` maps one real parameter to a Hamiltonian that carries an
-    EP of the declared ``order`` at every sample (``select`` picks among
-    clusters of that order, in centroid order). Samples failing EP
+    EP of the declared ``order`` at every sample; the first cluster of that
+    order in centroid order is scanned. Samples failing EP
     validation are flagged (``valid = 0``, NaN data) and the scan continues.
     The ``compensated`` column holds xi * foreign_distance^k for the
     divergence-law limit, with k = ``compensate_power``.
@@ -643,7 +614,7 @@ def surface_scan(generator, samples, order: int, *,
             a = as_matrix(generator(p), square=True)
             clusters = cluster_spectrum(a, tolerance)
             candidates = [c for c in clusters if c.order == order]
-            cluster = candidates[select]
+            cluster = candidates[0]
             w = eigenvalues(a)
             contour = default_contour(a, cluster, radius=radius, nodes=nodes,
                                       spectrum=w)
@@ -657,6 +628,6 @@ def surface_scan(generator, samples, order: int, *,
         except (IndexError, ValueError, EpsrsError):
             return (p, math.nan, math.nan, math.nan, math.nan, math.nan, 0.0)
 
-    rows = thread_map(one, samples)
+    rows = [one(p) for p in samples]
     rows.sort(key=lambda r: r[0])
     return ScanTable(list(SCAN_COLUMNS), rows)

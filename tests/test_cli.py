@@ -64,6 +64,13 @@ class TestSrs:
         report = json.loads(capsys.readouterr().out)
         assert report["converged"] is False
 
+    def test_nodes_apply_without_rc(self, toy_matrix_file, capsys):
+        # the default contour starts from --nodes; the toy EP2 converges at
+        # the first doubling from 1024, at 128 from the default 64
+        assert main(["srs", "--matrix", toy_matrix_file, "--nodes", "1024"]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == 2048
+        assert main(["srs", "--matrix", toy_matrix_file, "--nodes", "100"]) == 1
+
     def test_unknown_flag_is_input_error(self, toy_matrix_file):
         assert main(["srs", "--matrix", toy_matrix_file, "--bogus"]) == 1
 
@@ -126,6 +133,23 @@ class TestFig4:
         assert -9.2 < c_star < -8.6
         first = out.read_text().split("\n", 1)[0]
         assert first == "re,im,log10_norm"
+
+    def test_sidecar_beside_extensionless_out(self, tmp_path):
+        # the sidecar replaces the file extension, not text after a dot in a
+        # directory name
+        (tmp_path / "out.d").mkdir()
+        out = tmp_path / "out.d" / "fig4"
+        assert main(["fig4", "--out", str(out), "--resolution", "41"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out.d").iterdir()) == \
+            ["fig4", "fig4.json"]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_json_out_is_input_error(self, tmp_path, capsys):
+        # the sidecar would overwrite the CSV
+        out = tmp_path / "f.json"
+        assert main(["fig4", "--out", str(out), "--resolution", "41"]) == 1
+        assert "sidecar" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFig5:
@@ -243,17 +267,6 @@ class TestDecompose:
         assert outputs[0] == outputs[1] == outputs[2]
         orders = [c["order"] for c in json.loads(outputs[0])["clusters"]]
         assert sorted(orders) == [1] * 14 + [2]
-
-
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "s.csv", tmp_path / "t.csv"
-    monkeypatch.setenv("EPSRS_THREADS", "1")
-    assert main(["fig2", "--d-min", "1e-2", "--d-max", "1e-1",
-                 "--out", str(out1)]) == 0
-    monkeypatch.setenv("EPSRS_THREADS", "4")
-    assert main(["fig2", "--d-min", "1e-2", "--d-max", "1e-1",
-                 "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_console_entry_point(toy_matrix_file):

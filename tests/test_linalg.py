@@ -11,7 +11,7 @@ from epsrs import (
     eig,
     eigenvalues,
     frobenius_norm,
-    invert,
+    greens_function,
     matrix_from_json,
     matrix_to_json,
     load_matrix,
@@ -105,32 +105,40 @@ def test_unitary_invariance_of_norms():
 
 
 class TestInvert:
+    """The LU inversion inside greens_function: G(E) = (E*1 - H0)^-1."""
+
     def test_diagonal(self):
-        assert_allclose(invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), rtol=1e-15)
+        assert_allclose(greens_function(np.diag([1.0, 3.0]), 5.0),
+                        np.diag([0.25, 0.5]), rtol=1e-15)
 
     def test_exactly_singular(self):
+        # E = 2 is an eigenvalue: 2*1 - H0 = [[1, -1], [-1, 1]]
         with pytest.raises(SingularMatrixError) as info:
-            invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            greens_function(np.array([[1.0, 1.0], [1.0, 1.0]]), 2.0)
         assert info.value.pivot < 1e-300
 
     def test_roundtrip_residual(self):
         rng = np.random.default_rng(4)
-        a = ginibre(8, rng)
-        x = invert(a)
-        residual = frobenius_norm(a @ x - np.eye(8))
-        assert residual <= 1e-12 * frobenius_norm(a) * frobenius_norm(x)
+        h0 = ginibre(8, rng)
+        energy = 0.3 - 0.2j
+        x = greens_function(h0, energy)
+        shifted = energy * np.eye(8) - h0
+        residual = frobenius_norm(shifted @ x - np.eye(8))
+        assert residual <= 1e-12 * frobenius_norm(shifted) * frobenius_norm(x)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
-            invert(np.ones((2, 3)))
+            greens_function(np.ones((2, 3)), 0.0)
         with pytest.raises(ValueError):
-            invert(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            greens_function(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.0)
+        with pytest.raises(ValueError):
+            greens_function(np.eye(2), complex(np.nan, 0.0))
 
     def test_condition_warning_logged(self, caplog):
         import logging
 
-        with caplog.at_level(logging.WARNING, logger="epsrs.linalg"):
-            invert(np.diag([1.0, 1e-15]))
+        with caplog.at_level(logging.WARNING, logger="epsrs.greens"):
+            greens_function(np.diag([-1.0, -1e-15]), 0.0)
         assert any("ill-conditioned" in r.message for r in caplog.records)
 
 

@@ -15,7 +15,6 @@ from epsrs import (
     frobenius_norm,
     greens_function,
     passive_bound_check,
-    perturbation_coupling,
     projector_of_state,
     spectral_decomposition,
     splitting_bound,
@@ -95,6 +94,8 @@ class TestClusterSpectrum:
     def test_declared_order_validation(self):
         with pytest.raises(ValueError):
             toy_clusters(declared_orders={0: 3})
+        with pytest.raises(ValueError, match="cluster 7.* 2 clusters"):
+            toy_clusters(declared_orders={7: 2})
 
     def test_tolerance_override_merges(self):
         clusters = cluster_spectrum(np.diag([0.0, 1e-3]).astype(complex),
@@ -518,13 +519,3 @@ class TestResponseInvariants:
             1e-12 * report.strength
         assert abs(report.strength - frobenius_norm(report.w_operator)) <= \
             1e-12 * report.strength
-
-
-def test_perturbation_coupling_helper():
-    w = np.zeros((3, 3), dtype=complex)
-    w[0, 2] = 1.0
-    h1 = toy_h1()
-    expected = frobenius_norm(w @ h1)
-    assert perturbation_coupling(w, h1) == expected
-    assert perturbation_coupling(w, h1, np.array([1.0, 0, 0])) == \
-        np.linalg.norm((w @ h1) @ np.array([1.0, 0, 0]))
