@@ -37,47 +37,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--matrix", help="input matrix JSON file")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED,
-                        help="PRNG seed for stochastic methods")
-    common.add_argument("--rc", type=float, help="contour radius override")
-    common.add_argument("--nodes", type=int, default=64,
-                        help="starting quadrature node count (power of two >= 16)")
-    common.add_argument("--tol-cluster", type=float,
-                        help="eigenvalue clustering tolerance override")
-    common.add_argument("--order", type=int,
-                        help="declared EP order for the selected cluster")
+#: Flags several subcommands read. Each subcommand declares only the ones its
+#: handler reads, so a flag it would ignore is an input error.
+_FLAGS = {
+    "matrix": dict(required=True, help="input matrix JSON file"),
+    "out": dict(help="output file path"),
+    "rc": dict(type=float, help="contour radius override"),
+    "nodes": dict(type=int, default=64,
+                  help="starting quadrature node count (power of two >= 16)"),
+    "tol-cluster": dict(type=float, help="eigenvalue clustering tolerance override"),
+    "order": dict(type=int, help="declared EP order for the selected cluster"),
+}
 
+
+def _build_parser() -> _Parser:
     parser = _Parser(prog="epsrs",
                      description="spectral response strength of exceptional points")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("srs", parents=[common],
-                       help="response strength of one cluster of a matrix")
+    def command(name, func, summary, flags, **defaults):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = command("srs", _cmd_srs, "response strength of one cluster of a matrix",
+                ("matrix", "out", "rc", "nodes", "tol-cluster", "order"))
     p.add_argument("--cluster", type=int,
                    help="cluster index (default: highest order)")
-    p.set_defaults(func=_cmd_srs)
 
-    p = sub.add_parser("fig2", parents=[common],
-                       help="splitting and bounds vs detuning (CSV)")
+    p = command("fig2", _cmd_fig2, "splitting and bounds vs detuning (CSV)",
+                ("out",), default_out="fig2.csv")
     p.add_argument("--d-min", type=float, default=1e-4)
     p.add_argument("--d-max", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_fig2, default_out="fig2.csv")
 
-    p = sub.add_parser("fig3", parents=[common],
-                       help="splitting and bounds vs perturbation strength (CSV)")
+    p = command("fig3", _cmd_fig3, "splitting and bounds vs perturbation strength (CSV)",
+                ("out",), default_out="fig3.csv")
     p.add_argument("--eps-min", type=float, default=1e-13)
     p.add_argument("--eps-max", type=float, default=1e-3)
     p.add_argument("--detuning", type=float, default=2e-3)
-    p.set_defaults(func=_cmd_fig3, default_out="fig3.csv")
 
-    p = sub.add_parser("fig4", parents=[common],
-                       help="pseudospectrum grid and separatrix level")
+    p = command("fig4", _cmd_fig4, "pseudospectrum grid and separatrix level",
+                ("out",), default_out="fig4.csv")
     p.add_argument("--detuning", type=float, default=2e-3)
     p.add_argument("--resolution", type=int, default=401)
     p.add_argument("--window", type=float, nargs=4,
@@ -87,36 +91,29 @@ def _build_parser() -> _Parser:
                    help="separatrix bracket, lower log10(eps)")
     p.add_argument("--c-hi", type=float, default=-4.0,
                    help="separatrix bracket, upper log10(eps)")
-    p.set_defaults(func=_cmd_fig4, default_out="fig4.csv")
 
-    p = sub.add_parser("fig5", parents=[common],
-                       help="residue vs regularized-Petermann accuracy (CSV)")
+    p = command("fig5", _cmd_fig5, "residue vs regularized-Petermann accuracy (CSV)",
+                ("out",), default_out="fig5.csv")
+    p.add_argument("--rc", type=float, default=1e-11, help="contour radius")
+    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED,
+                   help="PRNG seed of the Petermann perturbations")
     p.add_argument("--d-min", type=float, default=1e-3)
     p.add_argument("--d-max", type=float, default=1.0)
     p.add_argument("--eta", type=float, default=1e-21)
-    p.set_defaults(func=_cmd_fig5, default_out="fig5.csv")
 
-    p = sub.add_parser("scan-surface", parents=[common],
-                       help="xi along an exceptional surface (CSV)")
+    p = command("scan-surface", _cmd_scan_surface,
+                "xi along an exceptional surface (CSV)",
+                ("out", "rc", "nodes", "tol-cluster"), default_out="scan.csv")
     p.add_argument("model", choices=["toy", "chirality"])
     p.add_argument("--spec", required=True,
                    help="JSON scan spec: {base, vary, values, order[, compensate]}")
-    p.set_defaults(func=_cmd_scan_surface, default_out="scan.csv")
 
-    p = sub.add_parser("petermann", parents=[common],
-                       help="Petermann factors of every eigenpair (CSV)")
-    p.set_defaults(func=_cmd_petermann)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="spectral projectors and nilpotent powers (JSON)")
-    p.set_defaults(func=_cmd_decompose)
+    command("petermann", _cmd_petermann, "Petermann factors of every eigenpair (CSV)",
+            ("matrix", "out"))
+    command("decompose", _cmd_decompose,
+            "spectral projectors and nilpotent powers (JSON)",
+            ("matrix", "out", "tol-cluster", "order"))
     return parser
-
-
-def _require_matrix(args) -> np.ndarray:
-    if not args.matrix:
-        raise ValueError("this command requires --matrix <path>")
-    return load_matrix(args.matrix)
 
 
 def _emit(args, text: str) -> None:
@@ -124,22 +121,27 @@ def _emit(args, text: str) -> None:
 
 
 def _clusters_for(args, a):
-    """Clustering honoring --cluster/--order declarations."""
-    if args.order is not None and getattr(args, "cluster", None) is not None:
-        return cluster_spectrum(a, args.tol_cluster,
-                                declared_orders={args.cluster: args.order})
-    try:
+    """Clustering honoring --cluster/--order declarations; without --cluster,
+    --order names the order of the cluster whose rank test is ambiguous."""
+    cluster = getattr(args, "cluster", None)
+    if args.order is None:
         return cluster_spectrum(a, args.tol_cluster)
+    if cluster is not None:
+        return cluster_spectrum(a, args.tol_cluster,
+                                declared_orders={cluster: args.order})
+    try:
+        cluster_spectrum(a, args.tol_cluster)
     except AmbiguousOrderError as err:
-        if args.order is not None and err.cluster_index is not None:
-            return cluster_spectrum(
-                a, args.tol_cluster,
-                declared_orders={err.cluster_index: args.order})
-        raise
+        if err.cluster_index is None:
+            raise
+        return cluster_spectrum(a, args.tol_cluster,
+                                declared_orders={err.cluster_index: args.order})
+    raise ValueError("--order needs --cluster or an ambiguous cluster; "
+                     "the order of every cluster here is unambiguous")
 
 
 def _cmd_srs(args) -> int:
-    a = _require_matrix(args)
+    a = load_matrix(args.matrix)
     clusters = _clusters_for(args, a)
     if args.cluster is not None:
         if not 0 <= args.cluster < len(clusters):
@@ -184,9 +186,7 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_fig5(args) -> int:
-    r_c = args.rc if args.rc is not None else 1e-11
-    table = experiments.fig5_table(args.d_min, args.d_max, r_c, args.eta,
-                                   args.seed)
+    table = experiments.fig5_table(args.d_min, args.d_max, args.rc, args.eta, args.seed)
     _emit(args, table.to_csv())
     return 0
 
@@ -225,13 +225,13 @@ def _cmd_scan_surface(args) -> int:
 
 
 def _cmd_petermann(args) -> int:
-    a = _require_matrix(args)
+    a = load_matrix(args.matrix)
     records_to_csv(petermann_records(a), args.out or sys.stdout)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    a = _require_matrix(args)
+    a = load_matrix(args.matrix)
     clusters = _clusters_for(args, a)
     deco = spectral_decomposition(a, clusters)
     payload = {"clusters": []}

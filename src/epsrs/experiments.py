@@ -23,13 +23,12 @@ POINTS_PER_DECADE = 25
 DEFAULT_SEED = 20
 
 
-def log_grid(lo: float, hi: float,
-             points_per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
-    """Log-spaced samples over [lo, hi], inclusive."""
+def log_grid(lo: float, hi: float) -> np.ndarray:
+    """``POINTS_PER_DECADE`` log-spaced samples a decade over [lo, hi]."""
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     decades = np.log10(hi) - np.log10(lo)
-    num = max(2, int(round(points_per_decade * decades)) + 1)
+    num = max(2, int(round(POINTS_PER_DECADE * decades)) + 1)
     return np.logspace(np.log10(lo), np.log10(hi), num)
 
 
@@ -50,12 +49,12 @@ def toy_splitting(detuning: float, epsilon: float) -> float:
     return float(np.min(np.abs(w - 0.0)))
 
 
-def fig2_table(d_min: float = 1e-4, d_max: float = 1.0, epsilon: float = 1e-8,
-               points_per_decade: int = POINTS_PER_DECADE) -> ScanTable:
+def fig2_table(d_min: float = 1e-4, d_max: float = 1.0, epsilon: float = 1e-8
+               ) -> ScanTable:
     """Splitting and both bounds vs detuning at fixed perturbation strength."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    detunings = log_grid(d_min, d_max, points_per_decade)
+    detunings = log_grid(d_min, d_max)
     ep3_bound = splitting_bound(toy_xi3(toy_params(0.0)), 3, epsilon, 1.0)
 
     def one(d: float) -> tuple[float, ...]:
@@ -67,8 +66,7 @@ def fig2_table(d_min: float = 1e-4, d_max: float = 1.0, epsilon: float = 1e-8,
 
 
 def fig3_table(eps_min: float = 1e-13, eps_max: float = 1e-3,
-               detuning: float = 2e-3,
-               points_per_decade: int = POINTS_PER_DECADE) -> ScanTable:
+               detuning: float = 2e-3) -> ScanTable:
     """Splitting and both bounds vs perturbation strength at fixed detuning.
 
     On log-log axes the two bound columns are straight lines with slopes 1/2
@@ -78,7 +76,7 @@ def fig3_table(eps_min: float = 1e-13, eps_max: float = 1e-3,
         raise ValueError("epsilon range must be positive")
     xi2 = toy_xi2(toy_params(detuning))
     xi3 = toy_xi3(toy_params(0.0))
-    epsilons = log_grid(eps_min, eps_max, points_per_decade)
+    epsilons = log_grid(eps_min, eps_max)
 
     def one(eps: float) -> tuple[float, ...]:
         return (float(eps), toy_splitting(detuning, eps),
@@ -109,18 +107,17 @@ def fig4_grid(detuning: float = 2e-3, frame=None, resolution: int = 401,
     return grid, c_star
 
 
-def toy_ep2_report(detuning: float, r_c: float | None = None, nodes: int = 64):
+def toy_ep2_report(detuning: float, r_c: float | None = None):
     """Residue-calculus report for the toy model's EP2 at one detuning."""
     h0 = toy_h0(toy_params(detuning))
     clusters = cluster_spectrum(h0)
     ep2 = next(c for c in clusters if c.order == 2)
-    contour = default_contour(h0, ep2, radius=r_c, nodes=nodes)
+    contour = default_contour(h0, ep2, radius=r_c)
     return xi_residue(h0, ep2, contour)
 
 
 def fig5_table(d_min: float = 1e-3, d_max: float = 1.0, r_c: float = 1e-11,
-               eta: float = 1e-21, seed: int = DEFAULT_SEED,
-               points_per_decade: int = POINTS_PER_DECADE) -> ScanTable:
+               eta: float = 1e-21, seed: int = DEFAULT_SEED) -> ScanTable:
     """Relative error of both xi estimators vs detuning.
 
     Columns: detuning, residue-method error, regularized-Petermann error,
@@ -131,7 +128,7 @@ def fig5_table(d_min: float = 1e-3, d_max: float = 1.0, r_c: float = 1e-11,
 
     if r_c <= 0 or eta <= 0:
         raise ValueError("r_c and eta must be positive")
-    detunings = log_grid(d_min, d_max, points_per_decade)
+    detunings = log_grid(d_min, d_max)
 
     def one(i: int, d: float) -> tuple[float, ...]:
         xi_exact = toy_xi2(toy_params(d))

@@ -48,12 +48,13 @@ def greens_function(h0, energy: complex) -> np.ndarray:
     modulus falls below ``SINGULAR_PIVOT`` (``energy`` hits the spectrum of
     ``h0`` to working precision); logs a warning when the estimated condition
     number exceeds ``CONDITION_WARN`` (near-pole evaluations live there on
-    purpose).
+    purpose). Raises ``ValueError`` for a non-finite ``energy``.
     """
     import scipy.linalg
 
     m = as_matrix(h0, square=True)
-    # a non-finite energy makes non-finite entries, rejected here
+    if not np.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     shifted = as_matrix(energy * np.eye(m.shape[0], dtype=complex) - m)
     with warnings.catch_warnings():
         # scipy warns on exactly-zero pivots; the pivot check below raises.
@@ -114,8 +115,7 @@ class PseudospectrumGrid:
 
 
 def pseudospectrum(h0, re_range, im_range,
-                   resolution: int | tuple[int, int] = DEFAULT_RESOLUTION
-                   ) -> PseudospectrumGrid:
+                   resolution: int = DEFAULT_RESOLUTION) -> PseudospectrumGrid:
     """Evaluate log10 ||G(E)||_2 on a uniform grid.
 
     Parameters
@@ -123,39 +123,36 @@ def pseudospectrum(h0, re_range, im_range,
     h0 : square matrix
     re_range, im_range : (min, max)
         Nonempty ranges of the real and imaginary energy axes.
-    resolution : int or (n_re, n_im)
-        Samples per axis, at least 2 each.
+    resolution : int
+        Samples per axis, at least 2.
 
     Grid points within 1e-14 of an eigenvalue are displaced by one
     grid-cell-width x 1e-6 and recorded in ``nudged``; every stored value is
     finite.
     """
     m = as_matrix(h0, square=True)
-    if isinstance(resolution, (tuple, list)):
-        n_re, n_im = (int(resolution[0]), int(resolution[1]))
-    else:
-        n_re = n_im = int(resolution)
-    if n_re < 2 or n_im < 2:
+    n = int(resolution)
+    if n < 2:
         raise ValueError("resolution must be >= 2 per axis")
     re_lo, re_hi = float(re_range[0]), float(re_range[1])
     im_lo, im_hi = float(im_range[0]), float(im_range[1])
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("ranges must be nonempty (min < max)")
 
-    re_axis = np.linspace(re_lo, re_hi, n_re)
-    im_axis = np.linspace(im_lo, im_hi, n_im)
+    re_axis = np.linspace(re_lo, re_hi, n)
+    im_axis = np.linspace(im_lo, im_hi, n)
     energies = re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]
 
     cell = np.hypot(re_axis[1] - re_axis[0], im_axis[1] - im_axis[0])
     eigs = np.linalg.eigvals(m)
     dist = np.min(np.abs(energies.reshape(-1, 1) - eigs[np.newaxis, :]), axis=1)
-    hit = dist.reshape(n_im, n_re) <= 1e-14
+    hit = dist.reshape(n, n) <= 1e-14
     nudged = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
     if nudged:
         energies = energies.copy()
         energies[hit] += cell * 1e-6
 
-    values = _log10_resolvent_norms(m, energies.ravel()).reshape(n_im, n_re)
+    values = _log10_resolvent_norms(m, energies.ravel()).reshape(n, n)
     return PseudospectrumGrid(re_axis, im_axis, values, nudged)
 
 

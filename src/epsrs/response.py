@@ -342,27 +342,30 @@ def _doubled_samples(a, center, radius, z, g):
     return z_all, g_all
 
 
-def _residue_moment(a, contour: Contour, power: int):
-    """(1/2 pi i) \\oint (E-c)^power G dE = mean_j z_j^(power+1) G_j.
+def _residue_moment(a, contour: Contour, eigenvalue: complex, power: int):
+    """(1/2 pi i) \\oint (E-lambda)^power G dE = mean_j (z_j-s)^power z_j G_j,
+    z_j = E_j - c the nodes about the contour centre c and s = lambda - c.
 
-    Doubles the trapezoidal nodes until the Frobenius norms of successive
-    moments agree to ``XI_REL_TOL`` relative or ``NODE_CAP`` is reached.
-    Returns (moment, nodes_used, converged).
-    """
-    nodes = contour.nodes
-    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
-    z, g = _ring_samples(a, contour.center, contour.radius, thetas)
-    moment = np.mean(z[:, np.newaxis, np.newaxis] ** (power + 1) * g, axis=0)
-    xi = float(np.linalg.norm(moment, "fro"))
-    while nodes < NODE_CAP:
+    Doubles the nodes until the Frobenius norms of successive moments agree
+    to ``XI_REL_TOL`` relative or ``NODE_CAP`` is reached. Returns (moment,
+    nodes_used, converged)."""
+    shift = complex(eigenvalue) - contour.center
+    nodes, xi = contour.nodes, None
+    z, g = _ring_samples(a, contour.center, contour.radius,
+                         2.0 * np.pi * np.arange(nodes) / nodes)
+    while True:
+        # a centred contour keeps z^(power+1), which (z-0)^power * z differs
+        # from in the last bit for power >= 2
+        weight = z ** (power + 1) if shift == 0 else (z - shift) ** power * z
+        moment = np.mean(weight[:, np.newaxis, np.newaxis] * g, axis=0)
+        xi_new = float(np.linalg.norm(moment, "fro"))
+        if xi is not None and abs(xi_new - xi) / max(xi_new, xi, 1e-300) <= XI_REL_TOL:
+            return moment, nodes, True
+        if nodes >= NODE_CAP:
+            return moment, nodes, False
+        xi = xi_new
         z, g = _doubled_samples(a, contour.center, contour.radius, z, g)
         nodes *= 2
-        moment = np.mean(z[:, np.newaxis, np.newaxis] ** (power + 1) * g, axis=0)
-        xi_new = float(np.linalg.norm(moment, "fro"))
-        if abs(xi_new - xi) / max(xi_new, xi, 1e-300) <= XI_REL_TOL:
-            return moment, nodes, True
-        xi = xi_new
-    return moment, nodes, False
 
 
 def _report_from_w(cluster: SpectralCluster, w_op: np.ndarray,
@@ -384,10 +387,11 @@ def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None
                ) -> EpReport:
     """Response strength of one cluster by residue calculus.
 
-    Integrates (E - lambda)^(n-1) G(E) around ``contour`` (default:
-    :func:`default_contour`), doubling the trapezoidal node count until two
-    successive xi estimates agree to 1e-13 relative or ``NODE_CAP`` nodes are
-    reached, in which case the report comes back with ``converged=False``.
+    Integrates (E - lambda)^(n-1) G(E), lambda the cluster eigenvalue, around
+    ``contour`` (default: :func:`default_contour`, any centre works), doubling
+    the trapezoidal node count until two successive xi estimates agree to
+    1e-13 relative or ``NODE_CAP`` nodes are reached, in which case the report
+    comes back with ``converged=False``.
 
     Raises :class:`ContourError` if the contour fails to separate the
     cluster from the rest of the spectrum.
@@ -398,7 +402,8 @@ def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None
         contour = default_contour(a, cluster, spectrum=w)
     scale = max(float(np.linalg.norm(a, "fro")), abs(contour.center), 1.0)
     _validate_contour(w, cluster, contour, scale)
-    w_op, nodes_used, quad_ok = _residue_moment(a, contour, cluster.order - 1)
+    w_op, nodes_used, quad_ok = _residue_moment(a, contour, cluster.eigenvalue,
+                                                cluster.order - 1)
     return _report_from_w(cluster, w_op, nodes_used, quad_ok)
 
 
@@ -575,17 +580,16 @@ def splitting_bound(xi: float, n: int, epsilon: float, h1_norm: float) -> float:
     return float((epsilon * h1_norm * xi) ** (1.0 / n))
 
 
-def passive_bound_check(report: EpReport, n: int | None = None) -> PassiveBound:
+def passive_bound_check(report: EpReport) -> PassiveBound:
     """Check xi against the passive-system bound (sqrt(2n) |Im lambda|)^(n-1).
 
-    The bound only holds for passive systems with m = n; for m > n it is
-    expected to fail, which is precisely what this checker documents.
+    n is the cluster order. The bound only holds for passive systems with
+    m = n; for m > n it is expected to fail, which is precisely what this
+    checker documents.
     """
-    order = report.cluster.order if n is None else int(n)
-    if order < 1:
-        raise ValueError("order n must be >= 1")
+    n = report.cluster.order
     lam = complex(report.cluster.eigenvalue)
-    bound = float((math.sqrt(2 * order) * abs(lam.imag)) ** (order - 1))
+    bound = float((math.sqrt(2 * n) * abs(lam.imag)) ** (n - 1))
     return PassiveBound(bound, bool(report.strength <= bound))
 
 

@@ -85,6 +85,17 @@ class TestSrs:
         report = json.loads(capsys.readouterr().out)
         assert report["order"] == 1
 
+    def test_order_without_cluster_on_unambiguous_clustering(
+            self, toy_matrix_file, capsys):
+        # the toy EP2 has an unambiguous order, so --order alone declares
+        # nothing and is rejected rather than ignored
+        assert main(["srs", "--matrix", toy_matrix_file, "--order", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--order needs --cluster" in captured.err
+        assert main(["srs", "--matrix", toy_matrix_file, "--cluster", "0",
+                     "--order", "2"]) == 0
+
 
 class TestFig2:
     def test_bounds_and_columns(self, tmp_path):
@@ -129,7 +140,7 @@ class TestFig4:
         assert main(["fig4", "--out", str(out), "--resolution", "201"]) == 0
         sidecar = tmp_path / "fig4.json"
         assert out.exists() and sidecar.exists()
-        c_star = json.load(open(sidecar))["separatrix_c"]
+        c_star = json.loads(sidecar.read_text())["separatrix_c"]
         assert -9.2 < c_star < -8.6
         first = out.read_text().split("\n", 1)[0]
         assert first == "re,im,log10_norm"
@@ -235,6 +246,16 @@ class TestDecompose:
         ep = [c for c in payload["clusters"] if c["order"] == 2][0]
         assert len(ep["nilpotent_powers"]) == 1
 
+    def test_order_on_unambiguous_clustering_is_input_error(
+            self, toy_matrix_file, tmp_path, capsys):
+        assert main(["decompose", "--matrix", toy_matrix_file, "--order", "1"]) == 1
+        assert "--order needs --cluster" in capsys.readouterr().err
+        path = tmp_path / "ambig.json"
+        save_matrix(np.diag([0.0, 1e-10]), path)
+        assert main(["decompose", "--matrix", str(path), "--order", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["order"] for c in payload["clusters"]] == [1]
+
     def test_schur_failure_exit_code(self, toy_matrix_file, monkeypatch, capsys):
         import scipy.linalg
 
@@ -267,6 +288,67 @@ class TestDecompose:
         assert outputs[0] == outputs[1] == outputs[2]
         orders = [c["order"] for c in json.loads(outputs[0])["clusters"]]
         assert sorted(orders) == [1] * 14 + [2]
+
+
+#: The flags shared between subcommands, and the ones each subcommand reads.
+SHARED_FLAGS = ["--matrix", "--out", "--seed", "--rc", "--nodes",
+                "--tol-cluster", "--order"]
+READS = {
+    "srs": ["--matrix", "--out", "--rc", "--nodes", "--tol-cluster", "--order"],
+    "decompose": ["--matrix", "--out", "--tol-cluster", "--order"],
+    "petermann": ["--matrix", "--out"],
+    "scan-surface": ["--out", "--rc", "--nodes", "--tol-cluster"],
+    "fig5": ["--out", "--rc", "--seed"],
+    "fig2": ["--out"],
+    "fig3": ["--out"],
+    "fig4": ["--out"],
+}
+UNREAD = [(command, flag) for command, flags in READS.items()
+          for flag in SHARED_FLAGS if flag not in flags]
+FLAG_VALUES = {"--matrix": "m.json", "--out": "o.csv", "--seed": "3",
+               "--rc": "1e-3", "--nodes": "64", "--tol-cluster": "1e-6",
+               "--order": "1"}
+REQUIRED = {"srs": ["--matrix", "m.json"], "decompose": ["--matrix", "m.json"],
+            "petermann": ["--matrix", "m.json"],
+            "scan-surface": ["toy", "--spec", "s.json"]}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_flag_is_input_error(command, flag, capsys):
+    argv = [command, *REQUIRED.get(command, []), flag, FLAG_VALUES[flag]]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_subcommand_accepts_the_flags_it_reads(toy_matrix_file, tmp_path):
+    ambiguous = tmp_path / "ambig.json"
+    save_matrix(np.diag([0.0, 1e-10]), ambiguous)
+    diagonal = tmp_path / "diag.json"
+    save_matrix(np.diag([1.0, 3.0]), diagonal)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "base": {"e_a": 0, "e_b": 1e-3, "a": -1, "b": -1}, "vary": "e_b",
+        "values": [1e-3, 1e-2], "order": 2}))
+    out = str(tmp_path / "out.csv")
+    runs = {
+        "srs": ["--matrix", toy_matrix_file, "--out", out, "--rc", "9e-4",
+                "--nodes", "128", "--tol-cluster", "1e-6", "--cluster", "0",
+                "--order", "2"],
+        "decompose": ["--matrix", str(ambiguous), "--out", out,
+                      "--tol-cluster", "1e-6", "--order", "1"],
+        "petermann": ["--matrix", str(diagonal), "--out", out],
+        "scan-surface": ["toy", "--spec", str(spec), "--out", out,
+                         "--rc", "1e-4", "--nodes", "32", "--tol-cluster", "1e-6"],
+        "fig5": ["--out", out, "--rc", "1e-10", "--seed", "3",
+                 "--d-min", "1e-2", "--d-max", "2e-2"],
+        "fig2": ["--out", out],
+        "fig3": ["--out", out],
+        "fig4": ["--out", out, "--resolution", "41"],
+    }
+    assert set(runs) == set(READS)
+    for command, argv in runs.items():
+        assert sorted(set(argv) & set(SHARED_FLAGS)) == sorted(READS[command])
+        assert main([command, *argv]) == 0, command
 
 
 def test_console_entry_point(toy_matrix_file):

@@ -133,7 +133,8 @@ class TestPseudospectrum:
 
     def test_csv_matches_cell_by_cell_reference(self, tmp_path):
         rng = np.random.default_rng(25)
-        grid = pseudospectrum(ginibre(3, rng), (-2.0, 2.5), (-1.5, 1.0), (23, 17))
+        # unequal re and im ranges, so a transposed write differs
+        grid = pseudospectrum(ginibre(3, rng), (-2.0, 2.5), (-1.5, 1.0), 17)
         reference = "re,im,log10_norm\n" + "".join(
             f"{re:.17g},{im:.17g},{grid.values[i, j]:.17g}\n"
             for i, im in enumerate(grid.im_axis)
@@ -270,7 +271,3 @@ class TestSeparatrixLevel:
         grid = pseudospectrum(h0, frame[0], frame[1], 201)
         assert _poles_connected(grid, p.e_a, p.e_b, c_star + 0.01)
         assert not _poles_connected(grid, p.e_a, p.e_b, c_star - 0.3)
-
-    def test_resolution_tuple(self):
-        grid = pseudospectrum(np.zeros((1, 1)), (0.5, 1.5), (-0.5, 0.5), (5, 3))
-        assert grid.values.shape == (3, 5)

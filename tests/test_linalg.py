@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,14 @@ class TestInvert:
             greens_function(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.0)
         with pytest.raises(ValueError):
             greens_function(np.eye(2), complex(np.nan, 0.0))
+
+    def test_infinite_energy_rejected_without_warning(self):
+        # inf * 0 off the diagonal of energy * 1 would warn before any check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for energy in (np.inf, complex(0.0, -np.inf), complex(np.inf, np.nan)):
+                with pytest.raises(ValueError, match="energy"):
+                    greens_function(np.eye(2), energy)
 
     def test_condition_warning_logged(self, caplog):
         import logging

@@ -187,6 +187,21 @@ class TestXiResidue:
         assert_allclose(report.strength, 1.0, rtol=1e-12)
         assert_allclose(report.w_operator, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("shift", [0.01, 0.01j, 0.5, -0.5, 0.5j, -0.5j,
+                                       0.35 + 0.35j])
+    @pytest.mark.parametrize("detuning, closed_form", [(2e-3, toy_xi2),
+                                                       (0.0, toy_xi3)])
+    def test_off_centre_contour(self, detuning, closed_form, shift):
+        # the weight is (E - lambda)^(n-1) wherever the centre sits; centres
+        # up to half the radius from the EP give the closed form
+        p = ToyModelParams(e_a=0.0, e_b=detuning, a=-1.0, b=-1.0)
+        h0 = toy_h0(p)
+        ep = max(cluster_spectrum(h0), key=lambda c: c.order)
+        radius = 0.9 * default_contour(h0, ep).radius
+        report = xi_residue(h0, ep, Contour(ep.eigenvalue + shift * radius, radius))
+        assert report.converged
+        assert_allclose(report.strength, closed_form(p), rtol=1e-10)
+
     def test_foreign_eigenvalue_inside_contour(self):
         ep2 = toy_clusters()[0]
         with pytest.raises(ContourError):
@@ -439,7 +454,7 @@ class TestBounds:
 
     def test_passive_bound_order_one(self):
         report = xi_residue(toy_h0(TOY), toy_clusters()[1])
-        check = passive_bound_check(report, n=1)
+        check = passive_bound_check(report)
         assert check.bound == 1.0
 
     def test_passive_bound_jordan_block(self):
