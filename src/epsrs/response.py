@@ -354,8 +354,8 @@ def _residue_moment(a, contour: Contour, eigenvalue: complex, power: int):
     z, g = _ring_samples(a, contour.center, contour.radius,
                          2.0 * np.pi * np.arange(nodes) / nodes)
     while True:
-        # a centred contour keeps z^(power+1), which (z-0)^power * z differs
-        # from in the last bit for power >= 2
+        # centred: z^(power+1), as (z-0)^power * z differs in the last bit for
+        # power >= 2, enough to flip chirality-EP4 convergence at XI_REL_TOL
         weight = z ** (power + 1) if shift == 0 else (z - shift) ** power * z
         moment = np.mean(weight[:, np.newaxis, np.newaxis] * g, axis=0)
         xi_new = float(np.linalg.norm(moment, "fro"))
