@@ -191,32 +191,47 @@ def _cmd_fig5(args) -> int:
     return 0
 
 
+_VALUES_USAGE = 'scan spec needs "values": [..] or {"geomspace": [lo, hi, n]}'
+
+
 def _scan_values(spec: dict) -> list[float]:
     values = spec.get("values")
-    if isinstance(values, dict) and "geomspace" in values:
-        lo, hi, num = values["geomspace"]
-        return [float(v) for v in np.geomspace(float(lo), float(hi), int(num))]
-    if isinstance(values, list):
+    geomspace = isinstance(values, dict) and "geomspace" in values
+    if geomspace:
+        values = values["geomspace"]
+    if not isinstance(values, list) or (geomspace and len(values) != 3):
+        raise ValueError(_VALUES_USAGE)
+    try:
+        if geomspace:
+            lo, hi, num = values
+            return [float(v) for v in np.geomspace(float(lo), float(hi), int(num))]
         return [float(v) for v in values]
-    raise ValueError('scan spec needs "values": [..] or {"geomspace": [lo, hi, n]}')
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{_VALUES_USAGE}: {exc}") from exc
 
 
 def _cmd_scan_surface(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    base = dict(spec["base"])
-    vary = spec["vary"]
-    order = int(spec["order"])
-    compensate = int(spec.get("compensate", 1))
+    if not isinstance(spec, dict):
+        raise ValueError("scan spec must be a JSON object")
+    base, vary = spec["base"], spec["vary"]
+    if not isinstance(base, dict) or not isinstance(vary, str):
+        raise ValueError('scan spec needs "base": {parameter: value, ..} and '
+                         '"vary": "<parameter>"')
+    try:
+        order, compensate = int(spec["order"]), int(spec.get("compensate", 1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f'scan spec "order" and "compensate" must be integers: '
+                         f"{exc}") from exc
     params_cls = ToyModelParams if args.model == "toy" else ChiralityModelParams
     build = toy_h0 if args.model == "toy" else chirality_h0
+    values = _scan_values(spec)
+    # built before the scan, which would turn a spec the model rejects (an
+    # unknown key, a bad value) into NaN rows instead of an input error
+    h0 = {v: build(params_cls.from_dict({**base, vary: v})) for v in values}
 
-    def generator(value: float):
-        merged = dict(base)
-        merged[vary] = value
-        return build(params_cls.from_dict(merged))
-
-    table = surface_scan(generator, _scan_values(spec), order,
+    table = surface_scan(h0.__getitem__, values, order,
                          compensate_power=compensate,
                          tolerance=args.tol_cluster,
                          nodes=args.nodes, radius=args.rc)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .greens import PseudospectrumGrid, pseudospectrum, separatrix_level
+from .linalg import eigenvalues
 from .models import ToyModelParams, toy_h0, toy_h1, toy_xi2, toy_xi3
 from .response import cluster_spectrum, default_contour, splitting_bound, xi_residue
 from .tables import ScanTable
@@ -45,7 +46,7 @@ def toy_splitting(detuning: float, epsilon: float) -> float:
     chosen by minimum displacement modulus (first index on ties).
     """
     h = toy_h0(toy_params(detuning)) + float(epsilon) * toy_h1()
-    w = np.linalg.eigvals(h)
+    w = eigenvalues(h)
     return float(np.min(np.abs(w - 0.0)))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import BracketingError, SingularMatrixError
-from .linalg import as_matrix
+from .linalg import as_matrix, eigenvalues
 from .tables import write_text
 
 logger = logging.getLogger(__name__)
@@ -144,7 +144,7 @@ def pseudospectrum(h0, re_range, im_range,
     energies = re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]
 
     cell = np.hypot(re_axis[1] - re_axis[0], im_axis[1] - im_axis[0])
-    eigs = np.linalg.eigvals(m)
+    eigs = eigenvalues(m)
     dist = np.min(np.abs(energies.reshape(-1, 1) - eigs[np.newaxis, :]), axis=1)
     hit = dist.reshape(n, n) <= 1e-14
     nudged = [(int(i), int(j)) for i, j in zip(*np.nonzero(hit))]
@@ -296,7 +296,7 @@ def separatrix_level(h0, pole_a: complex, pole_b: complex,
     """
     m = as_matrix(h0, square=True)
     pole_a, pole_b = complex(pole_a), complex(pole_b)
-    eigs = np.linalg.eigvals(m)
+    eigs = eigenvalues(m)
     scale = max(float(np.max(np.abs(eigs))), 1.0)
     for name, pole in (("pole_a", pole_a), ("pole_b", pole_b)):
         if np.min(np.abs(eigs - pole)) > 1e-8 * scale:

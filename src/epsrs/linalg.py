@@ -178,6 +178,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"matrix JSON missing/invalid field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
+    if not isinstance(entries, list):
+        raise ValueError("matrix JSON entries must be a list of [re, im] pairs")
     if len(entries) != rows * cols:
         raise ValueError(
             f"entries length {len(entries)} != rows*cols = {rows * cols}"

@@ -10,18 +10,31 @@ tested against.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 def _as_complex(value) -> complex:
     """Accept a number or an [re, im] pair (the JSON encoding)."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"complex JSON value must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+    try:
+        if isinstance(value, (list, tuple)):
+            re, im = value
+            return complex(float(re), float(im))
+        return complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("complex JSON value must be a number or [re, im], "
+                         f"got {value!r}") from exc
+
+
+def _check_keys(cls, obj: dict) -> None:
+    """Reject keys of ``obj`` that name no field of ``cls``."""
+    known = [f.name for f in fields(cls)]
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no parameter "
+                         f"{', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,7 @@ class ToyModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ToyModelParams":
+        _check_keys(cls, obj)
         kwargs = {k: _as_complex(obj[k]) for k in ("e_a", "e_b", "a", "b")}
         if obj.get("allow_degenerate_b"):
             kwargs["allow_degenerate_b"] = True
@@ -120,6 +134,7 @@ class ChiralityModelParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ChiralityModelParams":
+        _check_keys(cls, obj)
         return cls(**{k: _as_complex(obj[k])
                       for k in ("omega_is", "omega_ch", "v", "a", "b")})
 

@@ -24,6 +24,10 @@ from one complex Schur form and one Sylvester solve per cluster, with no
 quadrature. The contour moments with powers 0 .. n-1 would give the same
 P_l and N_l^k; the test suite keeps them as the independent oracle.
 
+The residue route solves the eigenproblem once per matrix: each
+:class:`SpectralCluster` carries the spectrum it was clustered from, so a
+cluster describes that one matrix and is passed only with it.
+
 All functions are pure.
 """
 
@@ -66,20 +70,32 @@ class SpectralCluster:
 
     ``eigenvalue`` is the cluster centroid (the EP eigenvalue candidate),
     ``order`` the size of the largest Jordan block (1 for diagonalizable
-    clusters), and ``member_indices`` point into the raw eigenvalue list of
-    :func:`epsrs.linalg.eigenvalues`.
+    clusters), ``spectrum`` the :func:`epsrs.linalg.eigenvalues` of the
+    matrix the cluster came from, and ``member_indices`` point into it. The
+    residue route reads ``spectrum`` instead of solving again, so a cluster
+    passed with another matrix gives that matrix a wrong contour. ``spectrum``
+    takes no part in equality or hashing.
     """
 
     eigenvalue: complex
     algebraic_multiplicity: int
     order: int
     member_indices: tuple[int, ...]
+    spectrum: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.order <= self.algebraic_multiplicity:
             raise ValueError("must have 1 <= order <= algebraic_multiplicity")
         if len(self.member_indices) != self.algebraic_multiplicity:
             raise ValueError("member count must equal algebraic multiplicity")
+        idx, m = self.member_indices, len(self.spectrum)
+        if len(set(idx)) != len(idx) or not all(0 <= i < m for i in idx):
+            raise ValueError(f"member indices {idx} must be distinct and in "
+                             f"0..{m - 1}, the range of the spectrum")
+
+    def foreign_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of ``spectrum`` outside the cluster."""
+        return np.delete(self.spectrum, self.member_indices)
 
 
 @dataclass(frozen=True)
@@ -231,6 +247,7 @@ def cluster_spectrum(h0, tolerance: float | None = None,
     tol = clustering_tolerance(a) if tolerance is None else float(tolerance)
     declared = declared_orders or {}
     w = eigenvalues(a)
+    w.flags.writeable = False
     groups = _union_find_groups(w, tol)
     groups.sort(key=lambda g: (np.mean(w[g]).real, np.mean(w[g]).imag))
     for idx in declared:
@@ -256,7 +273,7 @@ def cluster_spectrum(h0, tolerance: float | None = None,
             order = 1
         else:
             order = _order_by_rank_test(a, centroid, mult, idx)
-        clusters.append(SpectralCluster(centroid, mult, order, members))
+        clusters.append(SpectralCluster(centroid, mult, order, members, w))
     return clusters
 
 
@@ -265,21 +282,19 @@ def cluster_spectrum(h0, tolerance: float | None = None,
 
 
 def default_contour(h0, cluster: SpectralCluster, *, radius: float | None = None,
-                    nodes: int = 64, spectrum: np.ndarray | None = None) -> Contour:
+                    nodes: int = 64) -> Contour:
     """Circle around the cluster eigenvalue.
 
     The default radius is half the distance to the nearest foreign
-    eigenvalue; with no foreign eigenvalues (m = n) it falls back to
-    ||h0 - lambda*1||_F, the natural scale on which the quadrature is
-    well conditioned.
+    eigenvalue of ``cluster.spectrum``; with no foreign eigenvalues (m = n)
+    it falls back to ||h0 - lambda*1||_F, the natural scale on which the
+    quadrature is well conditioned.
     """
     a = as_matrix(h0, square=True)
-    w = eigenvalues(a) if spectrum is None else spectrum
     center = complex(cluster.eigenvalue)
     if radius is None:
-        members = set(cluster.member_indices)
-        foreign = [w[i] for i in range(len(w)) if i not in members]
-        if foreign:
+        foreign = cluster.foreign_eigenvalues()
+        if foreign.size:
             radius = 0.5 * min(abs(f - center) for f in foreign)
         else:
             radius = float(np.linalg.norm(a - center * np.eye(a.shape[0]), "fro"))
@@ -288,13 +303,10 @@ def default_contour(h0, cluster: SpectralCluster, *, radius: float | None = None
     return Contour(center, float(radius), nodes)
 
 
-def _validate_contour(w: np.ndarray, cluster: SpectralCluster,
-                      contour: Contour, scale: float) -> None:
-    members = np.asarray(cluster.member_indices, dtype=int)
-    if members.min() < 0 or members.max() >= len(w):
-        raise ValueError("cluster member indices out of range for this matrix")
-    member_vals = w[members]
-    foreign = np.delete(w, members)
+def _validate_contour(cluster: SpectralCluster, contour: Contour,
+                      scale: float) -> None:
+    member_vals = cluster.spectrum[list(cluster.member_indices)]
+    foreign = cluster.foreign_eigenvalues()
     center = complex(contour.center)
     if foreign.size and np.min(np.abs(foreign - center)) <= contour.radius:
         raise ContourError(
@@ -393,15 +405,18 @@ def xi_residue(h0, cluster: SpectralCluster, contour: Contour | None = None
     1e-13 relative or ``NODE_CAP`` nodes are reached, in which case the report
     comes back with ``converged=False``.
 
-    Raises :class:`ContourError` if the contour fails to separate the
-    cluster from the rest of the spectrum.
+    ``cluster`` must come from ``h0``: one of another size raises
+    ``ValueError``. Raises :class:`ContourError` if the contour fails to
+    separate the cluster from the rest of ``cluster.spectrum``.
     """
     a = as_matrix(h0, square=True)
-    w = eigenvalues(a)
+    if len(cluster.spectrum) != a.shape[0]:
+        raise ValueError(f"the cluster comes from a matrix of dimension "
+                         f"{len(cluster.spectrum)}, not {a.shape[0]}")
     if contour is None:
-        contour = default_contour(a, cluster, spectrum=w)
+        contour = default_contour(a, cluster)
     scale = max(float(np.linalg.norm(a, "fro")), abs(contour.center), 1.0)
-    _validate_contour(w, cluster, contour, scale)
+    _validate_contour(cluster, contour, scale)
     w_op, nodes_used, quad_ok = _residue_moment(a, contour, cluster.eigenvalue,
                                                 cluster.order - 1)
     return _report_from_w(cluster, w_op, nodes_used, quad_ok)
@@ -436,7 +451,9 @@ def xi_special(h0, lambda_ep: complex, n: int) -> EpReport:
         raise NotAnEpError(
             f"(h0 - lambda*1)^{n - 1} vanishes: nilpotency index is below {n}"
         )
-    cluster = SpectralCluster(complex(lambda_ep), n, n, tuple(range(n)))
+    # h0 - lambda*1 is nilpotent, so lambda is its only eigenvalue
+    cluster = SpectralCluster(complex(lambda_ep), n, n, tuple(range(n)),
+                              np.full(n, complex(lambda_ep)))
     return _report_from_w(cluster, w_op, 0, True)
 
 
@@ -507,7 +524,7 @@ def spectral_decomposition(h0, clusters: list[SpectralCluster] | None = None
     owner_of = np.full(m, -1)
     for idx, cluster in enumerate(clusters):
         members = np.asarray(cluster.member_indices, dtype=int)
-        if members.min() < 0 or members.max() >= m:
+        if members.max() >= m:
             raise NumericalFailureError(
                 f"cluster {idx}: member indices {cluster.member_indices} do not "
                 f"fit a {m} x {m} matrix"
@@ -619,12 +636,10 @@ def surface_scan(generator, samples, order: int, *,
             clusters = cluster_spectrum(a, tolerance)
             candidates = [c for c in clusters if c.order == order]
             cluster = candidates[0]
-            w = eigenvalues(a)
-            contour = default_contour(a, cluster, radius=radius, nodes=nodes,
-                                      spectrum=w)
+            contour = default_contour(a, cluster, radius=radius, nodes=nodes)
             report = xi_residue(a, cluster, contour)
             lam = complex(cluster.eigenvalue)
-            foreign = np.delete(w, np.asarray(cluster.member_indices, dtype=int))
+            foreign = cluster.foreign_eigenvalues()
             fdist = float(np.min(np.abs(foreign - lam))) if foreign.size else math.inf
             return (p, report.strength, lam.real, lam.imag, fdist,
                     report.strength * fdist**compensate_power,

@@ -218,6 +218,41 @@ class TestScanSurface:
         spec.write_text(json.dumps({"base": {}, "vary": "e_b", "order": 2}))
         assert main(["scan-surface", "toy", "--spec", str(spec)]) == 1
 
+    @pytest.mark.parametrize("base, vary, unknown", [
+        ({"e_a": 0, "e_b": 1e-3, "a": -1, "b": -1}, "e_c", "'e_c'"),
+        ({"e_a": 0, "e_b": 1e-3, "a": -1, "bb": -1}, "e_b", "'bb'"),
+    ])
+    def test_key_naming_no_parameter_is_input_error(self, tmp_path, capsys,
+                                                     base, vary, unknown):
+        # the parent scanned a constant matrix (vary) or ignored the key (base)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": base, "vary": vary,
+                                    "values": [1e-3, 2e-3], "order": 2}))
+        out = tmp_path / "scan.csv"
+        assert main(["scan-surface", "toy", "--spec", str(spec),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and f"no parameter {unknown}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"base": [1], "vary": "e_b", "values": [1e-3], "order": 2},
+        {"base": {}, "vary": ["e_b"], "values": [1e-3], "order": 2},
+        {"base": {"e_a": {}, "a": -1, "b": -1}, "vary": "e_b",
+         "values": [1e-3], "order": 2},
+        {"base": {"e_a": 0, "a": -1, "b": -1}, "vary": "e_b",
+         "values": [1e-3], "order": [2]},
+        {"base": {"e_a": 0, "a": -1, "b": -1}, "vary": "e_b",
+         "values": [[1e-3]], "order": 2},
+        {"base": {"e_a": 0, "a": -1, "b": -1}, "vary": "e_b",
+         "values": {"geomspace": [1e-3, 1e-2, None]}, "order": 2},
+    ])
+    def test_spec_of_wrong_type_is_input_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["scan-surface", "toy", "--spec", str(path)]) == 1
+        assert "epsrs: input error" in capsys.readouterr().err
+
 
 class TestPetermannCommand:
     def test_records_csv(self, tmp_path, capsys):
@@ -349,6 +384,25 @@ def test_each_subcommand_accepts_the_flags_it_reads(toy_matrix_file, tmp_path):
     for command, argv in runs.items():
         assert sorted(set(argv) & set(SHARED_FLAGS)) == sorted(READS[command])
         assert main([command, *argv]) == 0, command
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["srs", "--matrix"], "m.json", '{"rows": 1, "cols": 1, "entries": 5}'),
+    (["petermann", "--matrix"], "m.json", '{"rows": 1, "cols": 1, "entries": 5}'),
+    (["scan-surface", "toy", "--spec"], "spec.json", "[1, 2]"),
+    (["scan-surface", "toy", "--spec"], "spec.json",
+     '{"base": {"e_a": 0, "a": -1, "b": -1}, "vary": "e_b", '
+     '"values": {"geomspace": 5}, "order": 2}'),
+])
+def test_json_of_wrong_type_is_input_error(tmp_path, argv, name, text):
+    # each of these ended the parent in an uncaught TypeError
+    path = tmp_path / name
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "epsrs.cli", *argv, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "epsrs: input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point(toy_matrix_file):

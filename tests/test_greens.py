@@ -73,6 +73,11 @@ class TestGreensFunction:
 
 
 class TestPseudospectrum:
+    def test_dimension_cap(self):
+        # the eigensolve goes through linalg.eigenvalues, which caps m at 256
+        with pytest.raises(ValueError, match="exceeds 256"):
+            pseudospectrum(np.eye(257), (0.5, 1.5), (-0.5, 0.5), 2)
+
     def test_scalar_log_value(self):
         grid = pseudospectrum(np.zeros((1, 1)), (0.5, 1.5), (-0.5, 0.5), 3)
         # center point is E = 1: log10 ||G(1)|| = log10(1) = 0

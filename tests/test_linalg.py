@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import epsrs
 from epsrs import (
     as_matrix,
     chirality_eigenvalues,
@@ -260,6 +263,8 @@ class TestMatrixJson:
         {"rows": 0, "cols": 2, "entries": []},
         {"rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
         {"rows": 1, "cols": 1, "entries": ["oops"]},
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 1, "cols": 1, "entries": {"re": 1}},
     ])
     def test_malformed(self, obj):
         with pytest.raises(ValueError):
@@ -273,3 +278,23 @@ def test_as_matrix_validation():
         as_matrix(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 3)), square=True)
+
+
+def test_only_linalg_calls_eigensolvers():
+    # every eigensolve goes through linalg, which checks MAX_EIG_DIM and maps
+    # LinAlgError to NumericalFailureError
+    solvers = {"eigvals", "eig", "schur"}
+    offenders = []
+    for path in sorted(Path(epsrs.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in solvers
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg",
+                                                    "scipy.linalg")):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("numpy.linalg", "scipy.linalg")
+                    and solvers & {alias.name for alias in node.names}):
+                offenders.append(f"{path.name}:{node.lineno} from {node.module}")
+    assert offenders == []

@@ -51,6 +51,21 @@ class TestToyModel:
             {"e_a": 0, "e_b": [0.5, -0.25], "a": -1, "b": [0, 1]})
         assert p.e_b == 0.5 - 0.25j and p.b == 1j
 
+    @pytest.mark.parametrize("cls, obj", [
+        (ToyModelParams, {"e_a": 0, "e_b": 1, "a": -1, "b": -1, "e_c": 2}),
+        (ToyModelParams, {"e_a": 0, "e_b": 1, "a": -1, "bb": -1}),
+        (ChiralityModelParams, {"omega_is": 1, "omega_ch": 1, "v": 1, "a": 1,
+                                "b": 0, "w": 1}),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, cls, obj):
+        with pytest.raises(ValueError, match="has no parameter"):
+            cls.from_dict(obj)
+
+    @pytest.mark.parametrize("value", [None, {}, [1], [1, 2, 3], [None, 0], "x"])
+    def test_from_dict_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="number or \\[re, im\\]"):
+            ToyModelParams.from_dict({"e_a": value, "e_b": 1, "a": -1, "b": -1})
+
 
 class TestToyPerturbation:
     def test_unit_spectral_norm(self):

@@ -103,6 +103,66 @@ class TestClusterSpectrum:
         assert [(c.algebraic_multiplicity, c.order) for c in clusters] == [(2, 1)]
 
 
+class TestSpectralClusterRecord:
+    def test_clusters_share_one_read_only_spectrum(self):
+        a, _ = dense_jordan(8, 2, np.random.default_rng(4))
+        clusters = cluster_spectrum(a)
+        spectrum = clusters[0].spectrum
+        assert all(c.spectrum is spectrum for c in clusters)
+        assert_allclose(spectrum, eigenvalues(a), rtol=0, atol=0)
+        assert not spectrum.flags.writeable
+        members = sorted(i for c in clusters for i in c.member_indices)
+        assert members == list(range(8))
+        for c in clusters:
+            assert_allclose(c.foreign_eigenvalues(),
+                            np.delete(spectrum, list(c.member_indices)), rtol=0)
+
+    @pytest.mark.parametrize("members", [(0, 3), (-1, 0), (1, 1)])
+    def test_member_indices_must_fit_and_differ(self, members):
+        with pytest.raises(ValueError, match="must be distinct and in"):
+            SpectralCluster(0.0, 2, 2, members, np.zeros(3, dtype=complex))
+
+    def test_spectrum_takes_no_part_in_equality(self):
+        one = SpectralCluster(0.5, 1, 1, (0,), np.array([0.5, 1.0]))
+        other = SpectralCluster(0.5, 1, 1, (0,), np.array([0.5, 7.0]))
+        assert one == other and hash(one) == hash(other)
+        assert "spectrum" not in repr(one)
+
+    def test_xi_special_cluster_carries_its_eigenvalue(self):
+        lam = 0.3 - 0.7j
+        report = xi_special(np.array([[lam, 2.0], [0.0, lam]]), lam, 2)
+        assert_allclose(report.cluster.spectrum, [lam, lam], rtol=0)
+
+
+class TestOneEigensolve:
+    @pytest.fixture()
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        return calls
+
+    def test_residue_path(self, eigvals_calls):
+        h0 = toy_h0(TOY)
+        cluster = cluster_spectrum(h0)[0]
+        report = xi_residue(h0, cluster, default_contour(h0, cluster))
+        assert report.converged
+        assert eigvals_calls == [(3, 3)]
+
+    def test_surface_scan_per_sample(self, eigvals_calls):
+        samples = [1e-3, 2e-3, 4e-3]
+        table = surface_scan(
+            lambda d: toy_h0(ToyModelParams(e_a=0.0, e_b=d, a=-1.0, b=-1.0)),
+            samples, order=2)
+        assert table.column("valid") == [1.0] * 3
+        assert len(eigvals_calls) == len(samples)
+
+
 class TestContour:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,12 +179,13 @@ class TestContour:
 
     def test_default_radius_without_foreign(self):
         h0, lam, _ = jordan_conjugated(3, np.random.default_rng(31))
-        cluster = SpectralCluster(lam, 3, 3, (0, 1, 2))
+        cluster = SpectralCluster(lam, 3, 3, (0, 1, 2), eigenvalues(h0))
         contour = default_contour(h0, cluster)
         assert_allclose(contour.radius,
                         frobenius_norm(h0 - lam * np.eye(3)), rtol=1e-12)
         scalar = 2.5j * np.eye(2)
-        contour2 = default_contour(scalar, SpectralCluster(2.5j, 2, 1, (0, 1)))
+        contour2 = default_contour(
+            scalar, SpectralCluster(2.5j, 2, 1, (0, 1), eigenvalues(scalar)))
         assert contour2.radius == 1.0
 
 
@@ -186,6 +247,14 @@ class TestXiResidue:
         assert report.converged
         assert_allclose(report.strength, 1.0, rtol=1e-12)
         assert_allclose(report.w_operator, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+    def test_cluster_of_another_size_rejected(self):
+        ep2 = toy_clusters()[0]
+        h0 = np.zeros((4, 4), dtype=complex)
+        h0[:3, :3] = toy_h0(TOY)
+        h0[3, 3] = 1.0
+        with pytest.raises(ValueError, match="dimension 3, not 4"):
+            xi_residue(h0, ep2)
 
     @pytest.mark.parametrize("shift", [0.01, 0.01j, 0.5, -0.5, 0.5j, -0.5j,
                                        0.35 + 0.35j])
@@ -380,7 +449,7 @@ class TestSchurDecomposition:
         a[0, 1] = 1.0
         w = eigenvalues(a)
         ep = [i for i in range(3) if abs(w[i]) < 0.5]
-        halves = [SpectralCluster(complex(w[i]), 1, 1, (i,)) for i in ep]
+        halves = [SpectralCluster(complex(w[i]), 1, 1, (i,), w) for i in ep]
         with pytest.raises(NumericalFailureError,
                            match="2 Schur entries for multiplicity 1"):
             spectral_decomposition(a, halves)
